@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build vet test race bench bench-json bench-smoke fuzz-smoke soak-smoke serve-smoke serve-chaos cover ci repro examples clean
+.PHONY: all build vet test race bench bench-json bench-smoke fuzz-smoke soak-smoke serve-smoke serve-chaos width-smoke cover ci repro examples clean
 
 # Benchmarks must run at the host's full width: a throttled GOMAXPROCS
 # makes every parallel benchmark meaningless (the PE goroutines
@@ -30,8 +30,9 @@ race:
 # a one-iteration benchmark smoke run so the kernel entry points cannot
 # silently rot, plus a few seconds of fuzzing on the parsers that face
 # untrusted input, plus the elastic-recovery chaos soak, the quaked
-# service smoke, and the durable-job chaos drill.
-ci: build vet cover race bench-smoke fuzz-smoke soak-smoke serve-smoke serve-chaos
+# service smoke, the durable-job chaos drill, and the width/order
+# matrix.
+ci: build vet cover race bench-smoke fuzz-smoke soak-smoke serve-smoke serve-chaos width-smoke
 
 # Total statement coverage must not sink below the floor (measured
 # 88.1% when the gate was introduced; the margin absorbs run-to-run
@@ -110,6 +111,14 @@ serve-smoke:
 # jobs WAL exercised as a binary (see docs/RELIABILITY.md).
 serve-chaos:
 	$(GO) run ./cmd/quaked -chaos -smoke-pes 4
+
+# The width/order matrix: the service-facing packages at GOMAXPROCS 1,
+# 2 and 4 in shuffled order, so a test that only passes on a 1-CPU box
+# or in file order fails here. internal/recover is left out:
+# TestRebalanceReducesMeasuredLambda asserts a wall-clock λ that a
+# loaded 2-CPU host can miss at -cpu 4.
+width-smoke:
+	$(GO) test -count=1 -shuffle=on -cpu 1,2,4 ./cmd/quakesim ./cmd/quaked ./internal/serve ./internal/regress
 
 # One-shot figure regeneration without the benchmark harness.
 repro:

@@ -198,15 +198,24 @@ func run(ctx context.Context, opt *options, out io.Writer) error {
 // first solve cold-builds the artifacts, the second must be served from
 // the cache — asserted both from the response's cache_hit field and
 // from the serve.cache.{hits,misses} counters scraped off
-// /metrics.json.
+// /metrics.json before and after. The counters are process-wide, so
+// only their deltas belong to this smoke. Each solve reports the
+// client-measured request wall (build included) beside the server's
+// solve wall.
 func smoke(addr string, opt *options, out io.Writer) error {
 	base := "http://" + addr
 	body := fmt.Sprintf(`{"scenario":%q,"pes":%d}`, opt.smokeScenario, opt.smokePEs)
 
+	before, err := scrapeCounters(base)
+	if err != nil {
+		return err
+	}
 	var cold, warm serve.SolveResult
+	t0 := time.Now()
 	if err := postSolve(base, body, &cold); err != nil {
 		return fmt.Errorf("cold solve: %w", err)
 	}
+	coldReq := time.Since(t0)
 	if cold.CacheHit {
 		return fmt.Errorf("first solve reported cache_hit=true; expected a cold build")
 	}
@@ -214,9 +223,11 @@ func smoke(addr string, opt *options, out io.Writer) error {
 		return fmt.Errorf("cold solve: converged=%v certified=%v (cert residual %.3g)",
 			cold.Converged, cold.Certified, cold.CertResidual)
 	}
+	t0 = time.Now()
 	if err := postSolve(base, body, &warm); err != nil {
 		return fmt.Errorf("cached solve: %w", err)
 	}
+	warmReq := time.Since(t0)
 	if !warm.CacheHit {
 		return fmt.Errorf("second identical solve reported cache_hit=false; expected a cache hit")
 	}
@@ -229,24 +240,31 @@ func smoke(addr string, opt *options, out io.Writer) error {
 			warm.SolutionFP, cold.SolutionFP)
 	}
 
-	resp, err := http.Get(base + "/metrics.json")
+	after, err := scrapeCounters(base)
 	if err != nil {
-		return fmt.Errorf("scraping /metrics.json: %w", err)
+		return err
 	}
-	defer resp.Body.Close()
+	hits := after["serve.cache.hits"] - before["serve.cache.hits"]
+	misses := after["serve.cache.misses"] - before["serve.cache.misses"]
+	if misses != 1 || hits < 1 {
+		return fmt.Errorf("cache counters off: serve.cache.misses rose by %d (want 1), serve.cache.hits by %d (want >=1)", misses, hits)
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	fmt.Fprintf(out, "quaked: smoke %s/p%d cold %.0fms request / %.0fms solve (%d iters) cached %.0fms request / %.0fms solve (%d iters), hits=%d misses=%d\n",
+		opt.smokeScenario, opt.smokePEs, ms(coldReq), cold.WallMS, cold.Iterations,
+		ms(warmReq), warm.WallMS, warm.Iterations, hits, misses)
+	return nil
+}
+
+// scrapeCounters reads the counter section of /metrics.json.
+func scrapeCounters(base string) (map[string]int64, error) {
 	var snap struct {
 		Counters map[string]int64 `json:"counters"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("decoding /metrics.json: %w", err)
+	if err := getJSON(base+"/metrics.json", &snap); err != nil {
+		return nil, fmt.Errorf("scraping /metrics.json: %w", err)
 	}
-	hits, misses := snap.Counters["serve.cache.hits"], snap.Counters["serve.cache.misses"]
-	if misses != 1 || hits < 1 {
-		return fmt.Errorf("cache counters off: serve.cache.misses=%d (want 1), serve.cache.hits=%d (want >=1)", misses, hits)
-	}
-	fmt.Fprintf(out, "quaked: smoke %s/p%d cold %.0fms (%d iters) cached %.0fms (%d iters), hits=%d misses=%d\n",
-		opt.smokeScenario, opt.smokePEs, cold.WallMS, cold.Iterations, warm.WallMS, warm.Iterations, hits, misses)
-	return nil
+	return snap.Counters, nil
 }
 
 // chaos is the durability drill behind `make serve-chaos`: prove that

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/mesh"
-	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
@@ -300,9 +299,9 @@ func (s *Store) Save(c *Checkpoint) (string, error) {
 	if err := os.Rename(tmp.Name(), final); err != nil {
 		return "", fmt.Errorf("recover: checkpoint rename: %w", err)
 	}
-	obs.GetCounter("recover.checkpoint.writes").Add(1)
-	obs.GetHistogram("recover.checkpoint.bytes").Observe(int64(len(data)))
-	obs.GetHistogram("recover.checkpoint.duration_us").Observe(time.Since(start).Microseconds())
+	ckptWrites.Add(1)
+	ckptBytes.Observe(int64(len(data)))
+	ckptDurationUS.Observe(time.Since(start).Microseconds())
 	return final, nil
 }
 
@@ -380,7 +379,7 @@ func (s *Store) Prune(keep int) (int, error) {
 		removed++
 	}
 	if removed > 0 {
-		obs.GetCounter("recover.checkpoint.pruned").Add(int64(removed))
+		ckptPruned.Add(int64(removed))
 	}
 	return removed, nil
 }

@@ -156,7 +156,7 @@ func GrowNodeOf(nodeOf func(pe int32) int32, revived int, node int32) func(pe in
 // untouched and remains the caller's to Close.
 func Grow(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, revived int) (*Rebuilt, error) {
 	sp := obs.StartSpan(obs.TrackDriver, "recover", "recover.grow")
-	obs.GetCounter("recover.grows").Add(1)
+	growCount.Add(1)
 	obs.RecordFlight(obs.FlightRecovery, "recover.grow", revived, 0, 0)
 	gpt, donor, err := GrowPartition(m, pt, revived)
 	if err != nil {

@@ -61,7 +61,7 @@ func NewRebalancer(cfg RebalanceConfig) *Rebalancer {
 // observations above Lambda, after which the trigger re-arms from zero.
 // Every observation publishes recover.rebalance.lambda.
 func (r *Rebalancer) Observe(im analyze.Imbalance) bool {
-	obs.GetGauge("recover.rebalance.lambda").Set(im.Lambda)
+	rebalanceLambda.Set(im.Lambda)
 	if im.Lambda <= r.cfg.Lambda {
 		r.hot = 0
 		return false
@@ -104,7 +104,6 @@ func RebalancePartition(m *mesh.Mesh, pt *partition.Partition, loads []int64, ma
 	for q, v := range loads {
 		load[q] = float64(v)
 	}
-	migrations := obs.GetCounter("recover.migrations")
 	moves := 0
 
 	for moves < maxMoves {
@@ -158,7 +157,7 @@ func RebalancePartition(m *mesh.Mesh, pt *partition.Partition, loads []int64, ma
 		if err != nil {
 			return nil, moves, err
 		}
-		migrations.Add(1)
+		migrationCount.Add(1)
 		obs.RecordFlight(obs.FlightRecovery, "recover.migrate", hot, int64(len(bestLayer)), 0)
 		moves++
 	}

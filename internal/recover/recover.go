@@ -9,11 +9,12 @@
 // re-derived for p−1 PEs, a fresh Dist constructed, and the solve
 // resumed from its last consistent checkpoint.
 //
-// The package has three parts: shrink-to-survivors (this file), the
-// durable checkpoint codec and store (checkpoint.go), and the
-// recovering solve driver that ties them to solver.CG (solve.go). The
-// recovery guarantees and the p−1 remap procedure are documented in
-// docs/RELIABILITY.md.
+// The package has five parts: shrink-to-survivors (this file),
+// regrowth onto a revived PE (grow.go), straggler rebalancing
+// (rebalance.go), the durable checkpoint codec and store
+// (checkpoint.go), and Supervise, the one recovery loop that ties them
+// to solver.CG (supervise.go). The recovery guarantees and the p−1
+// remap procedure are documented in docs/RELIABILITY.md.
 package recover
 
 import (
@@ -27,6 +28,22 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/partition"
+)
+
+// The recover.* metrics, registered once at package init so a scrape
+// taken before the first recovery already exposes them at zero. All
+// are documented in docs/OBSERVABILITY.md under the doc-drift guard.
+var (
+	shrinkCount     = obs.GetCounter("recover.shrinks")
+	growCount       = obs.GetCounter("recover.grows")
+	resumeCount     = obs.GetCounter("recover.resumes")
+	migrationCount  = obs.GetCounter("recover.migrations")
+	rebalanceLambda = obs.GetGauge("recover.rebalance.lambda")
+	ckptWrites      = obs.GetCounter("recover.checkpoint.writes")
+	ckptErrors      = obs.GetCounter("recover.checkpoint.errors")
+	ckptPruned      = obs.GetCounter("recover.checkpoint.pruned")
+	ckptBytes       = obs.GetHistogram("recover.checkpoint.bytes")
+	ckptDurationUS  = obs.GetHistogram("recover.checkpoint.duration_us")
 )
 
 // DeadPE inspects a kernel error and reports the PE lost to a kill
@@ -189,7 +206,7 @@ type Rebuilt struct {
 // checkpointed state has been scattered onto the replacement.
 func Shrink(m *mesh.Mesh, mat *material.Model, pt *partition.Partition, dead int) (*Rebuilt, error) {
 	sp := obs.StartSpan(obs.TrackDriver, "recover", "recover.shrink")
-	obs.GetCounter("recover.shrinks").Add(1)
+	shrinkCount.Add(1)
 	obs.RecordFlight(obs.FlightRecovery, "recover.shrink", dead, 0, 0)
 	// A shrink means a PE is confirmed dead — preserve the ring now, so
 	// the dump holds the final kernels of the full-width run.

@@ -167,54 +167,25 @@ func TestKillMidSolveConverges(t *testing.T) {
 
 	pt := f.partition(t, 8)
 	d := f.dist(t, pt)
-	if _, err := d.InjectFaults(mustPlan(t, "kill:pe=5,iter=25")); err != nil {
-		t.Fatal(err)
-	}
 	x := make([]float64, n)
 	sys := &System{Mesh: f.m, Material: f.mat, Part: pt, Shift: 20, MassNode: f.sys.MassNode}
-	type answer struct {
-		out *Outcome
-		err error
+	out := superviseFixtureSolve(t, d, sys, b, x, SuperviseConfig{
+		Solver: solver.Config{MaxIter: 6 * n, Tol: tol, CheckpointEvery: 5},
+		Plan:   mustPlan(t, "kill:pe=5,iter=25"),
+	})
+	defer out.Dist.Close()
+	if out.Shrinks != 1 || len(out.DeadPEs) != 1 || out.DeadPEs[0] != 5 {
+		t.Fatalf("recovery path: shrinks=%d dead=%v", out.Shrinks, out.DeadPEs)
 	}
-	done := make(chan answer, 1)
-	go func() {
-		out, err := Solve(d, sys, b, x, Config{Solver: solver.Config{MaxIter: 6 * n, Tol: tol, CheckpointEvery: 5}})
-		done <- answer{out, err}
-	}()
-	var a answer
-	select {
-	case a = <-done:
-	case <-time.After(watchdog):
-		t.Fatal("recovery from a kill fault hung")
+	if out.Part.P != 7 || out.Dist.P != 7 {
+		t.Fatalf("survivor width: part %d, dist %d, want 7", out.Part.P, out.Dist.P)
 	}
-	if a.err != nil {
-		t.Fatalf("recovered solve failed: %v", a.err)
-	}
-	defer a.out.Dist.Close()
-	if a.out.Shrinks != 1 || len(a.out.DeadPEs) != 1 || a.out.DeadPEs[0] != 5 {
-		t.Fatalf("recovery path: shrinks=%d dead=%v", a.out.Shrinks, a.out.DeadPEs)
-	}
-	if a.out.Part.P != 7 || a.out.Dist.P != 7 {
-		t.Fatalf("survivor width: part %d, dist %d, want 7", a.out.Part.P, a.out.Dist.P)
-	}
-	if !a.out.Result.Converged {
-		t.Fatalf("recovered solve did not converge: %+v", a.out.Result)
+	if !out.Result.Converged {
+		t.Fatalf("recovered solve did not converge: %+v", out.Result)
 	}
 
 	// Certify ‖b − A·x‖/‖b‖ ≤ tol on the independent full-width operator.
-	ax := make([]float64, n)
-	if err := (par.Operator{D: refD, Shift: 20, MassNode: f.sys.MassNode}).Apply(ax, x); err != nil {
-		t.Fatal(err)
-	}
-	var rr, bb float64
-	for i := range ax {
-		dlt := b[i] - ax[i]
-		rr += dlt * dlt
-		bb += b[i] * b[i]
-	}
-	if rel := math.Sqrt(rr) / math.Sqrt(bb); rel > tol {
-		t.Fatalf("recovered solution residual %.3g exceeds the fault-free tolerance %.1g", rel, tol)
-	}
+	certify(t, f, refD, b, x, tol)
 }
 
 // TestAggregatedDistRecoverable covers the ErrPoisoned interop
@@ -232,15 +203,12 @@ func TestAggregatedDistRecoverable(t *testing.T) {
 	if err := d.SetAggregation(nodeOf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.InjectFaults(mustPlan(t, "kill:pe=2,iter=12")); err != nil {
-		t.Fatal(err)
-	}
 	x := make([]float64, n)
 	sys := &System{Mesh: f.m, Material: f.mat, Part: pt, Shift: 20, MassNode: f.sys.MassNode, NodeOf: nodeOf}
-	out, err := Solve(d, sys, b, x, Config{Solver: solver.Config{MaxIter: 6 * n, Tol: 1e-10, CheckpointEvery: 5}})
-	if err != nil {
-		t.Fatalf("aggregated recovery failed: %v", err)
-	}
+	out := superviseFixtureSolve(t, d, sys, b, x, SuperviseConfig{
+		Solver: solver.Config{MaxIter: 6 * n, Tol: 1e-10, CheckpointEvery: 5},
+		Plan:   mustPlan(t, "kill:pe=2,iter=12"),
+	})
 	defer out.Dist.Close()
 	if out.Shrinks != 1 || out.Dist.P != 7 {
 		t.Fatalf("recovery path: shrinks=%d width=%d", out.Shrinks, out.Dist.P)
@@ -273,20 +241,20 @@ func TestAggregatedDistRecoverable(t *testing.T) {
 }
 
 // TestSolvePropagatesSoftwareFaults: a plain injected panic is not a
-// kill, so Solve must not shrink — the poisoned error propagates for
-// the caller's full-width retry policy.
+// kill, so Supervise without a Replace policy must not shrink — the
+// poisoned error propagates for the caller's full-width retry policy.
 func TestSolvePropagatesSoftwareFaults(t *testing.T) {
 	f := newFixture(t)
 	b := f.rhs()
 	pt := f.partition(t, 4)
 	d := f.dist(t, pt)
 	defer d.Close()
-	if _, err := d.InjectFaults(mustPlan(t, "panic:pe=1,iter=3")); err != nil {
-		t.Fatal(err)
-	}
 	x := make([]float64, len(b))
 	sys := &System{Mesh: f.m, Material: f.mat, Part: pt, Shift: 20, MassNode: f.sys.MassNode}
-	out, err := Solve(d, sys, b, x, Config{Solver: solver.Config{MaxIter: 100, Tol: 1e-10}})
+	out, err := Supervise(d, sys, b, x, SuperviseConfig{
+		Solver: solver.Config{MaxIter: 100, Tol: 1e-10},
+		Plan:   mustPlan(t, "panic:pe=1,iter=3"),
+	})
 	if err == nil {
 		t.Fatal("software fault did not propagate")
 	}

@@ -6,23 +6,49 @@ import (
 	"sort"
 
 	"repro/internal/fault"
+	"repro/internal/material"
+	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/par"
+	"repro/internal/partition"
 	"repro/internal/solver"
 )
 
-// SuperviseConfig is the elastic-recovery policy: everything Config
-// covers plus regrowth and live rebalancing.
+// System describes everything needed to rebuild the distributed
+// operator at a new width after a PE loss, a revival, or a rebalance.
+// The mesh, material, and shift never change across transitions; the
+// partition is the *initial* one, and the supervisor tracks its
+// replacements.
+type System struct {
+	Mesh     *mesh.Mesh
+	Material *material.Model
+	Part     *partition.Partition
+	// Shift and MassNode parameterize the CG operator exactly as
+	// par.Operator does.
+	Shift    float64
+	MassNode []float64
+	// NodeOf, when non-nil, is the two-level aggregation map of the
+	// initial width; it is recomposed past each transition and
+	// reinstalled on every rebuilt Dist.
+	NodeOf func(pe int32) int32
+}
+
+// SuperviseConfig is the recovery policy around a solver.Config.
 type SuperviseConfig struct {
 	Solver solver.Config
 	// MaxShrinks and MaxGrows bound the absorbed transitions per solve
-	// (default 3 each). Revive events past MaxGrows are dropped.
+	// (default 3 each; the partition also cannot shrink below one PE).
+	// Revive events past MaxGrows are dropped.
 	MaxShrinks int
 	MaxGrows   int
-	// Store, MeshID: durable checkpointing, as in Config. Checkpoints
-	// carry the *remaining* fault plan and the global kernel count, so a
-	// restarted process re-arms exactly the events that have not fired.
+	// Store, when non-nil, receives a durable checkpoint for every
+	// solver snapshot (Solver.CheckpointEvery, default 10), tagged with
+	// MeshID (see MeshID). Checkpoints carry the *remaining* fault plan
+	// and the global kernel count, so a restarted process re-arms
+	// exactly the events that have not fired. A write failure is counted
+	// under recover.checkpoint.errors but does not abort the solve —
+	// durability degrades before availability does.
 	Store  *Store
 	MeshID uint64
 	// Plan is the fault plan to arm. The supervisor owns the injector:
@@ -48,11 +74,27 @@ type SuperviseConfig struct {
 	// checkpoint. Requires obs metrics enabled to see any windows; nil
 	// disarms.
 	Rebalance *RebalanceConfig
+	// Replace, when set, selects the migrate policy: a dead worker — a
+	// kill (DeadPE) or a poisoned Dist (par.ErrPoisoned, dead = −1) —
+	// is replaced instead of shrunk over. Supervise closes the dead
+	// Dist and calls Replace with the PE and the checkpoint iteration
+	// the solve resumes from; the returned Dist must be a fresh operator
+	// on the original partition with its aggregation installed. The
+	// remaining plan is re-armed on it and CG resumes from the last
+	// checkpoint. A death before the first checkpoint, or a Replace
+	// error, ends the solve.
+	Replace func(dead, iter int) (*par.Dist, error)
 }
 
-// SuperviseOutcome reports an elastically supervised solve.
+// SuperviseOutcome reports a supervised solve.
 type SuperviseOutcome struct {
-	Outcome
+	// Result is the final CG result (partial when the solve failed or
+	// was stopped).
+	Result *solver.Result
+	// Shrinks counts absorbed PE losses; DeadPEs lists them in the PE
+	// numbering current at each death.
+	Shrinks int
+	DeadPEs []int
 	// Grows counts regrowths; RevivedPEs lists the slots in the PE
 	// numbering current at each regrowth.
 	Grows      int
@@ -67,6 +109,11 @@ type SuperviseOutcome struct {
 	// freezes at the last transition; with events still armed it is the
 	// final count.
 	Kernels int64
+	// Part and Dist are the partition and operator that finished the
+	// solve — the caller's originals (or Replace's Dist) when no
+	// transition rebuilt them. The caller owns Dist and must Close it.
+	Part *partition.Partition
+	Dist *par.Dist
 }
 
 // clampPlan returns a copy of p holding only the events still meaningful
@@ -105,16 +152,26 @@ func clampPlan(p *fault.Plan, width int, after int64) *fault.Plan {
 }
 
 // Supervise runs CG on d and keeps the solve alive — and well — through
-// sustained churn: kill faults shrink to the survivors exactly as Solve
-// does, revive events in the plan regrow the partition onto the
-// recovered PE at the next checkpoint boundary (Grow), and, when
+// sustained churn. Kill faults shrink to the survivors (Shrink), or,
+// under the Replace policy, move the solve onto a fresh full-width
+// Dist; revive events in the plan regrow the partition onto the
+// recovered PE at the next checkpoint boundary (Grow); and, when
 // Rebalance is armed, measured per-PE compute imbalance above the
 // hysteresis threshold migrates boundary layers off stragglers at a
-// checkpoint (Rebalance). Every transition rebuilds the operator,
+// checkpoint (Rebalance). Every transition swaps the operator,
 // recomposes the two-level aggregation map, re-arms the remaining fault
 // plan with the global kernel count fast-forwarded, and resumes CG from
-// the last consistent checkpoint. Software faults and losses beyond the
-// bounds propagate unchanged, as in Solve.
+// the last consistent checkpoint. Software faults (unless Replace is
+// set) and losses beyond the bounds propagate unchanged.
+//
+// The global problem (b, x, the solver state) is indexed by mesh node,
+// not by PE, so a checkpoint taken at width p resumes bit-compatibly at
+// any other width: only the operator's internals changed. A resumed
+// trajectory at a new width is not bit-identical to a fault-free run —
+// the rebuilt operator sums partial results in a different order — but
+// it is the same CG iteration on the same SPD system, so it converges
+// to the same tolerance. On a replacement Dist the partition is
+// unchanged, so the resumed trajectory is bit-identical.
 func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*SuperviseOutcome, error) {
 	if cfg.MaxShrinks <= 0 {
 		cfg.MaxShrinks = 3
@@ -129,9 +186,8 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 	userCk := scfg.OnCheckpoint
 	userInt := scfg.Interrupt
 
-	out := &SuperviseOutcome{Outcome: Outcome{Part: sys.Part, Dist: d}}
+	out := &SuperviseOutcome{Part: sys.Part, Dist: d}
 	nodeOf := sys.NodeOf
-	ckErrors := obs.GetCounter("recover.checkpoint.errors")
 
 	// The injector's Iter() is kept global across rebuilds: every fresh
 	// injector is fast-forwarded by the kernels all its predecessors
@@ -156,6 +212,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 		}
 		return base
 	}
+	defer func() { out.Kernels = globalIter() }()
 	if err := arm(d); err != nil {
 		return out, fmt.Errorf("recover: arming fault plan: %w", err)
 	}
@@ -203,7 +260,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 				ck.FaultPlan = p.String()
 			}
 			if _, err := cfg.Store.Save(ck); err != nil {
-				ckErrors.Add(1)
+				ckptErrors.Add(1)
 			}
 		}
 		if userCk != nil {
@@ -235,11 +292,7 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 		return due || wantRebalance
 	}
 
-	resume := func() {
-		scfg.Resume = last
-		obs.GetCounter("recover.resumes").Add(1)
-	}
-	// rearm swaps the live operator for reb's and restores aggregation
+	// install swaps the live operator for r's and restores aggregation
 	// and the fault plan on it. The old Dist must already be closed.
 	install := func(r *Rebuilt) error {
 		if nodeOf != nil {
@@ -258,9 +311,8 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 	for {
 		op := par.Operator{D: out.Dist, Shift: sys.Shift, MassNode: sys.MassNode}
 		res, err := solver.CG(op, b, x, scfg)
+		out.Result = res
 		if err == nil {
-			out.Result = res
-			out.Kernels = globalIter()
 			return out, nil
 		}
 
@@ -268,8 +320,6 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 			if cfg.Stop != nil && cfg.Stop() {
 				// The caller asked to stop; hand back the partial state
 				// instead of resuming past the interrupt.
-				out.Result = res
-				out.Kernels = globalIter()
 				return out, err
 			}
 			// Consume every due revive, oldest first.
@@ -287,7 +337,6 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 				base = globalIter()
 				grown, gerr := Grow(sys.Mesh, sys.Material, out.Part, slot)
 				if gerr != nil {
-					out.Kernels = globalIter()
 					return out, fmt.Errorf("recover: growing onto revived PE %d: %w", slot, gerr)
 				}
 				out.Dist.Close() // healthy but superseded
@@ -302,7 +351,6 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 					nodeOf = GrowNodeOf(nodeOf, slot, nodeOf(preDonor))
 				}
 				if ierr := install(grown); ierr != nil {
-					out.Kernels = globalIter()
 					return out, ierr
 				}
 				out.Grows++
@@ -320,13 +368,11 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 					base = globalIter()
 					moved, moves, rerr := Rebalance(sys.Mesh, sys.Material, out.Part, loads, reb.cfg.MaxMoves)
 					if rerr != nil {
-						out.Kernels = globalIter()
 						return out, fmt.Errorf("recover: rebalancing: %w", rerr)
 					}
 					if moves > 0 {
 						out.Dist.Close()
 						if ierr := install(moved); ierr != nil {
-							out.Kernels = globalIter()
 							return out, ierr
 						}
 						out.Migrations += moves
@@ -336,34 +382,51 @@ func Supervise(d *par.Dist, sys *System, b, x []float64, cfg SuperviseConfig) (*
 					}
 				}
 			}
-			resume()
-			continue
+		} else if cfg.Replace != nil {
+			dead, killed := DeadPE(err)
+			if !killed && errors.Is(err, par.ErrPoisoned) {
+				killed, dead = true, -1
+			}
+			if !killed || last == nil {
+				return out, err
+			}
+			base = globalIter()
+			out.Dist.Close() // poisoned; release its PE goroutines
+			fresh, rerr := cfg.Replace(dead, last.Iter)
+			if rerr != nil {
+				return out, fmt.Errorf("recover: replacing dead worker after %w: %w", err, rerr)
+			}
+			out.Dist = fresh
+			if aerr := arm(fresh); aerr != nil {
+				return out, fmt.Errorf("recover: re-arming fault plan: %w", aerr)
+			}
+		} else {
+			dead, killed := DeadPE(err)
+			if !killed || out.Shrinks >= cfg.MaxShrinks || out.Part.P <= 1 {
+				return out, err
+			}
+			base = globalIter()
+			shrunk, serr := Shrink(sys.Mesh, sys.Material, out.Part, dead)
+			if serr != nil {
+				return out, fmt.Errorf("recover: shrinking after %v: %w", err, serr)
+			}
+			out.Dist.Close() // poisoned; release its PE goroutines
+			if nodeOf != nil {
+				nodeOf = ShrinkNodeOf(nodeOf, dead)
+			}
+			if ierr := install(shrunk); ierr != nil {
+				return out, ierr
+			}
+			out.Shrinks++
+			out.DeadPEs = append(out.DeadPEs, dead)
+			if cfg.Rebalance != nil {
+				prevSnap = obs.Default.Snapshot() // width changed; restart the window
+			}
 		}
-
-		dead, killed := DeadPE(err)
-		if !killed || out.Shrinks >= cfg.MaxShrinks || out.Part.P <= 1 {
-			out.Kernels = globalIter()
-			return out, err
-		}
-		base = globalIter()
-		shrunk, serr := Shrink(sys.Mesh, sys.Material, out.Part, dead)
-		if serr != nil {
-			out.Kernels = globalIter()
-			return out, fmt.Errorf("recover: shrinking after %v: %w", err, serr)
-		}
-		out.Dist.Close() // poisoned; release its PE goroutines
-		if nodeOf != nil {
-			nodeOf = ShrinkNodeOf(nodeOf, dead)
-		}
-		if ierr := install(shrunk); ierr != nil {
-			out.Kernels = globalIter()
-			return out, ierr
-		}
-		out.Shrinks++
-		out.DeadPEs = append(out.DeadPEs, dead)
-		if cfg.Rebalance != nil {
-			prevSnap = obs.Default.Snapshot() // width changed; restart the window
-		}
-		resume()
+		// Resume from the last consistent checkpoint; when a kill struck
+		// before the first snapshot, restart cold from x, which CG left
+		// at its last full iterate.
+		scfg.Resume = last
+		resumeCount.Add(1)
 	}
 }

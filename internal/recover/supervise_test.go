@@ -216,6 +216,66 @@ func TestSupervisePlainSolve(t *testing.T) {
 	}
 }
 
+// TestSuperviseReplace pins the migrate policy: a kill or a PE panic
+// hands the solve to Replace's fresh full-width Dist, which resumes
+// from the last checkpoint bit-identically to a fault-free run; a death
+// before the first checkpoint ends the solve without a replacement.
+func TestSuperviseReplace(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	f := newFixture(t)
+	b := f.rhs()
+	n := len(b)
+	pt := f.partition(t, 4)
+	sys := &System{Mesh: f.m, Material: f.mat, Part: pt, Shift: 20, MassNode: f.sys.MassNode}
+	cfg := SuperviseConfig{Solver: solver.Config{MaxIter: 6 * n, Tol: 1e-10, CheckpointEvery: 5}}
+
+	ref := make([]float64, n)
+	refOut := superviseFixtureSolve(t, f.dist(t, pt), sys, b, ref, cfg)
+	refOut.Dist.Close()
+
+	for _, tc := range []struct {
+		plan     string
+		replaced bool
+	}{
+		{"kill:pe=1,iter=12", true},
+		{"panic:pe=1,iter=12", true},
+		{"kill:pe=1,iter=1", false}, // kernel 1 precedes the iteration-0 snapshot
+	} {
+		t.Run(tc.plan, func(t *testing.T) {
+			var calls []int
+			var fresh *par.Dist
+			c := cfg
+			c.Plan = mustPlan(t, tc.plan)
+			c.Replace = func(dead, iter int) (*par.Dist, error) {
+				calls = append(calls, dead)
+				fresh = f.dist(t, pt)
+				return fresh, nil
+			}
+			d := f.dist(t, pt)
+			x := make([]float64, n)
+			if !tc.replaced {
+				_, err := Supervise(d, sys, b, x, c)
+				d.Close()
+				if err == nil || len(calls) != 0 {
+					t.Fatalf("death before the first checkpoint: err=%v, Replace calls %v", err, calls)
+				}
+				return
+			}
+			out := superviseFixtureSolve(t, d, sys, b, x, c)
+			defer out.Dist.Close()
+			if len(calls) != 1 || out.Dist != fresh || out.Shrinks != 0 || out.Part.P != 4 {
+				t.Fatalf("replace path: calls %v, replaced dist %v, shrinks %d, width %d",
+					calls, out.Dist == fresh, out.Shrinks, out.Part.P)
+			}
+			for i := range x {
+				if x[i] != ref[i] {
+					t.Fatalf("replaced solve diverged from the fault-free run at %d: %x vs %x", i, x[i], ref[i])
+				}
+			}
+		})
+	}
+}
+
 // TestSMVPZeroAllocWithRebalancingArmed pins the acceptance criterion
 // that arming elastic recovery costs the steady-state kernel nothing:
 // with metrics on and a revive-bearing fault plan armed, SMVP still

@@ -100,7 +100,6 @@ type Job struct {
 	attempts   int
 	migrations int
 	ckptIter   int
-	ckptState  *solver.State
 	result     *SolveResult
 	errMsg     string
 	err        error
@@ -211,13 +210,11 @@ func (j *Job) eventsFrom(from int64) ([]event, bool) {
 	return out, j.state.terminal() && j.termEmitted
 }
 
-// checkpoint records an in-flight solver snapshot: the migration and
-// restart resume point. The State's slices are private copies (the
-// solver never aliases them), so retaining the pointer is safe.
-func (j *Job) checkpoint(st *solver.State) {
+// checkpoint records the iteration of an in-flight solver snapshot:
+// where a migration or restart resumes from.
+func (j *Job) checkpoint(iter int) {
 	j.mu.Lock()
-	j.ckptState = st
-	j.ckptIter = st.Iter
+	j.ckptIter = iter
 	j.mu.Unlock()
 }
 
@@ -735,8 +732,8 @@ type admittedJob struct {
 
 // run executes the job to a terminal state (or a durable requeue at
 // engine shutdown). It is the engine's single solve path: budgets,
-// worker checkout, plain / elastic-supervised / migrating CG,
-// certification, pool return, job bookkeeping.
+// worker checkout, one recover.Supervise call under the request's
+// recovery policy, certification, pool return, job bookkeeping.
 func (aj *admittedJob) run(ctx context.Context) (*SolveResult, error) {
 	e, a, j, spec := aj.e, aj.art, aj.job, aj.spec
 	defer aj.done()
@@ -774,8 +771,9 @@ func (aj *admittedJob) run(ctx context.Context) (*SolveResult, error) {
 			return nil, ferr
 		}
 	}
-	// A plan with revive events needs the elastic supervisor (only it
-	// regrows); anything else can migrate between full-width workers.
+	// A fault plan under the default policy shrinks and regrows in
+	// place (only that policy honors revive events); every other solve,
+	// fault-free ones included, migrates between full-width workers.
 	elastic := plan != nil && spec.Recovery != RecoveryMigrate
 
 	// Budgets: iteration cap and wall deadline, both clamped to the
@@ -804,9 +802,9 @@ func (aj *admittedJob) run(ctx context.Context) (*SolveResult, error) {
 		shift = 20
 	}
 
-	// The per-job durable checkpoint store: every in-flight snapshot
-	// lands here (pruned to a bounded tail), so a migration or a
-	// process restart resumes instead of recomputing.
+	// The per-job durable checkpoint store: the supervisor writes every
+	// in-flight snapshot here (pruned to a bounded tail), so a migration
+	// or a process restart resumes instead of recomputing.
 	var store *rec.Store
 	if e.jobs.durable() {
 		if store, err = rec.NewStore(e.jobs.ckptDir(j.id)); err != nil {
@@ -819,18 +817,6 @@ func (aj *admittedJob) run(ctx context.Context) (*SolveResult, error) {
 	x := make([]float64, n)
 	normB := norm2(b)
 
-	// inj is the current attempt's injector (nil without a plan on the
-	// non-elastic path); kernelBase is the global kernel count already
-	// executed by dead workers and previous processes.
-	var inj *fault.Injector
-	kernelBase := j.resumeKernels
-	injIter := func() int64 {
-		if inj != nil {
-			return inj.Iter()
-		}
-		return kernelBase
-	}
-
 	emit := func(st *solver.State) {
 		if d := e.cfg.CheckpointDelay; d > 0 {
 			time.Sleep(d)
@@ -838,30 +824,8 @@ func (aj *admittedJob) run(ctx context.Context) (*SolveResult, error) {
 		if slow := e.slowCheckpoint; slow != nil {
 			slow(st.Iter)
 		}
-		j.checkpoint(st)
+		j.checkpoint(st.Iter)
 		if store != nil {
-			if !elastic {
-				// The elastic supervisor writes its own checkpoints
-				// (with the shrunk partition); here we are the writer.
-				ck := &rec.Checkpoint{
-					MeshID: a.meshID,
-					P:      int32(a.part.P),
-					ElemPE: a.part.ElemPE,
-					Iter:   int64(st.Iter),
-					Rho:    st.Rho,
-					X:      st.X,
-					R:      st.R,
-					PDir:   st.P,
-
-					FaultIter: injIter(),
-				}
-				if plan != nil {
-					ck.FaultPlan = plan.String()
-				}
-				if _, err := store.Save(ck); err != nil {
-					obs.GetCounter("recover.checkpoint.errors").Add(1)
-				}
-			}
 			store.Prune(jobKeepCkpts)
 		}
 		rel := norm2(st.R)
@@ -875,126 +839,107 @@ func (aj *admittedJob) run(ctx context.Context) (*SolveResult, error) {
 		}
 	}
 
-	scfg := solver.Config{
-		MaxIter:         maxIter,
-		Tol:             tol,
-		CheckpointEvery: e.cfg.CheckpointEvery,
-		OnCheckpoint:    emit,
-	}
-
-	res := &SolveResult{JobID: j.id, CacheHit: j.cacheHit, Fingerprints: a.fp, Width: a.part.P}
 	start := time.Now()
-	finish := func(sr *solver.Result, d *par.Dist) {
-		if sr != nil {
-			res.Iterations = sr.Iterations
-			res.Residual = sr.Residual
-			res.Converged = sr.Converged
-		}
-		res.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-		if d != nil {
-			certify(res, d, shift, a.massNode, b, x, normB)
-		}
-		res.SolutionFP = regress.Vector(x)
-		res.SolutionNorm = norm2(x)
+	w, err := a.checkout()
+	if err != nil {
+		solvesFailed.Add(1)
+		e.jobs.fail(j, nil, err)
+		return nil, err
 	}
-
+	cfg := rec.SuperviseConfig{
+		Solver: solver.Config{
+			MaxIter:         maxIter,
+			Tol:             tol,
+			CheckpointEvery: e.cfg.CheckpointEvery,
+			OnCheckpoint:    emit,
+			Workspace:       w.ws,
+			Resume:          j.resumeState,
+		},
+		Plan:           plan,
+		Store:          store,
+		MeshID:         a.meshID,
+		AdvanceKernels: j.resumeKernels,
+		Stop:           func() bool { return ctx.Err() != nil || e.closingNow() },
+	}
 	if elastic {
-		return aj.runElastic(ctx, plan, scfg, b, x, shift, kernelBase, store, res, finish)
-	}
-
-	// The migrating path: plain CG on a checked-out worker; a worker
-	// death (kill fault, PE panic, barrier poison) re-dispatches the
-	// job onto a fresh full-width worker resuming from the newest
-	// checkpoint. Because the artifacts are canonical and the State
-	// snapshot is the exact tuple entering its iteration, the migrated
-	// trajectory is bit-identical to an uninterrupted solve.
-	resume := j.resumeState
-	maxAttempts := e.cfg.MaxAttempts
-	for {
-		w, err := a.checkout()
-		if err != nil {
-			solvesFailed.Add(1)
-			e.jobs.fail(j, nil, err)
-			return nil, err
-		}
-		if plan != nil {
-			if inj, err = w.dist.InjectFaults(plan); err != nil {
-				a.release(w, false)
-				ferr := fmt.Errorf("%w: arming fault plan: %w", ErrBadRequest, err)
-				solvesFailed.Add(1)
-				e.jobs.fail(j, nil, ferr)
-				return nil, ferr
+		solvesSupervise.Add(1)
+	} else {
+		// Migration: the worker is dead, the job is not. The job moves
+		// to a fresh full-width worker resuming from the newest
+		// checkpoint; because the artifacts are canonical and the State
+		// snapshot is the exact tuple entering its iteration, the
+		// migrated trajectory is bit-identical to an uninterrupted solve.
+		cfg.Replace = func(dead, iter int) (*par.Dist, error) {
+			if j.Status().Attempts >= e.cfg.MaxAttempts {
+				return nil, fmt.Errorf("serve: job used all %d attempts", e.cfg.MaxAttempts)
 			}
-			inj.Advance(kernelBase)
-		}
-		if resume == nil {
-			for i := range x {
-				x[i] = 0
+			fresh, err := a.checkout()
+			if err != nil {
+				return nil, err
 			}
-		}
-		scfg.Workspace = w.ws
-		scfg.Resume = resume
-		scfg.Interrupt = func(int) bool { return ctx.Err() != nil || e.closingNow() }
-		op := par.Operator{D: w.dist, Shift: shift, MassNode: a.massNode}
-		sr, serr := solver.CG(op, b, x, scfg)
-		switch {
-		case serr == nil:
-			finish(sr, w.dist)
-			res.Migrations = j.Status().Migrations
-			if plan != nil {
-				// Disarm before pooling: a healthy worker must not
-				// carry this solve's plan into the next request.
-				w.dist.InjectFaults(nil)
-			}
-			a.release(w, true)
-			solvesOK.Add(1)
-			e.jobs.complete(j, res)
-			return res, nil
-		case errors.Is(serr, solver.ErrInterrupted):
-			if plan != nil {
-				w.dist.InjectFaults(nil)
-			}
-			a.release(w, true)
-			if e.closingNow() {
-				finish(sr, nil)
-				return res, aj.park(res, fmt.Errorf("serve: %w: engine closing", ErrClosed))
-			}
-			res.Canceled = true
-			finish(sr, nil)
-			solvesCanceled.Add(1)
-			cerr := fmt.Errorf("serve: %w: %w", ErrCanceled, ctx.Err())
-			e.jobs.cancel(j, res, cerr)
-			return res, cerr
-		default:
-			deadPE, died := rec.DeadPE(serr)
-			if !died && errors.Is(serr, par.ErrPoisoned) {
-				died, deadPE = true, -1
-			}
-			last := j.lastCheckpoint()
-			if died && j.Status().Attempts < maxAttempts && last != nil {
-				// Live migration: the worker is dead, the job is not.
-				kernelBase = injIter()
-				a.release(w, false)
-				resume = last
-				e.jobs.migrated(j, deadPE, last.Iter)
-				continue
-			}
-			finish(sr, nil)
-			res.Migrations = j.Status().Migrations
 			a.release(w, false)
-			solvesFailed.Add(1)
-			ferr := fmt.Errorf("serve: solve failed: %w", serr)
-			e.jobs.fail(j, res, ferr)
-			return res, ferr
+			w = fresh
+			e.jobs.migrated(j, dead, iter)
+			return w.dist, nil
 		}
 	}
-}
+	sys := &rec.System{
+		Mesh: a.mesh, Material: a.mat, Part: a.part,
+		Shift: shift, MassNode: a.massNode, NodeOf: a.nodeOf,
+	}
+	out, serr := rec.Supervise(w.dist, sys, b, x, cfg)
 
-// lastCheckpoint returns the newest in-flight snapshot.
-func (j *Job) lastCheckpoint() *solver.State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ckptState
+	res := &SolveResult{
+		JobID: j.id, CacheHit: j.cacheHit, Fingerprints: a.fp, Width: out.Part.P,
+		Shrinks: out.Shrinks, Grows: out.Grows, DeadPEs: out.DeadPEs, RevivedPEs: out.RevivedPEs,
+		Migrations: j.Status().Migrations,
+	}
+	if sr := out.Result; sr != nil {
+		res.Iterations = sr.Iterations
+		res.Residual = sr.Residual
+		res.Converged = sr.Converged
+	}
+	res.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
+	if serr == nil {
+		certify(res, out.Dist, shift, a.massNode, b, x, normB)
+	}
+	res.SolutionFP = regress.Vector(x)
+	res.SolutionNorm = norm2(x)
+
+	// The worker goes back to the pool only if it still holds the live
+	// operator and the solve did not fail on it; a supervisor rebuild
+	// (shrink, grow) is closed instead.
+	healthy := out.Dist == w.dist && (serr == nil || errors.Is(serr, solver.ErrInterrupted))
+	if healthy && plan != nil {
+		// Disarm before pooling: a healthy worker must not carry this
+		// solve's plan into the next request.
+		w.dist.InjectFaults(nil)
+	}
+	a.release(w, healthy)
+	if out.Dist != w.dist {
+		out.Dist.Close()
+	}
+
+	switch {
+	case serr == nil:
+		solvesOK.Add(1)
+		e.jobs.complete(j, res)
+		return res, nil
+	case errors.Is(serr, solver.ErrInterrupted):
+		if e.closingNow() {
+			return res, aj.park(res, fmt.Errorf("serve: %w: engine closing", ErrClosed))
+		}
+		res.Canceled = true
+		solvesCanceled.Add(1)
+		cerr := fmt.Errorf("serve: %w: %w", ErrCanceled, ctx.Err())
+		e.jobs.cancel(j, res, cerr)
+		return res, cerr
+	default:
+		solvesFailed.Add(1)
+		ferr := fmt.Errorf("serve: solve failed: %w", serr)
+		e.jobs.fail(j, res, ferr)
+		return res, ferr
+	}
 }
 
 // park requeues a durable job interrupted by engine shutdown (the
@@ -1008,100 +953,4 @@ func (aj *admittedJob) park(res *SolveResult, err error) error {
 	solvesCanceled.Add(1)
 	aj.e.jobs.cancel(aj.job, res, err)
 	return err
-}
-
-// runElastic is the supervised path for plans that shrink and regrow:
-// recover.Supervise owns the injector and absorbs
-// kill→shrink→revive→grow transitions; the wall deadline and engine
-// shutdown ride its Stop hook. Durable checkpoints flow through the
-// supervisor itself so they carry the live (possibly shrunk)
-// partition.
-func (aj *admittedJob) runElastic(ctx context.Context, plan *fault.Plan, scfg solver.Config,
-	b, x []float64, shift float64, kernelBase int64, store *rec.Store,
-	res *SolveResult, finish func(*solver.Result, *par.Dist)) (*SolveResult, error) {
-
-	e, a, j := aj.e, aj.art, aj.job
-	w, err := a.checkout()
-	if err != nil {
-		solvesFailed.Add(1)
-		e.jobs.fail(j, nil, err)
-		return nil, err
-	}
-	if j.resumeState != nil {
-		scfg.Resume = j.resumeState
-	}
-	scfg.Workspace = w.ws
-	solvesSupervise.Add(1)
-	sys := &rec.System{
-		Mesh: a.mesh, Material: a.mat, Part: a.part,
-		Shift: shift, MassNode: a.massNode, NodeOf: a.nodeOf,
-	}
-	out, serr := rec.Supervise(w.dist, sys, b, x, rec.SuperviseConfig{
-		Solver:         scfg,
-		Plan:           plan,
-		Store:          store,
-		MeshID:         a.meshID,
-		AdvanceKernels: kernelBase,
-		Stop:           func() bool { return ctx.Err() != nil || e.closingNow() },
-	})
-	var final *par.Dist
-	healthy := false
-	if out != nil {
-		res.Shrinks = out.Shrinks
-		res.Grows = out.Grows
-		res.Migrations = out.Migrations
-		res.DeadPEs = out.DeadPEs
-		res.RevivedPEs = out.RevivedPEs
-		if out.Part != nil {
-			res.Width = out.Part.P
-		}
-		final = out.Dist
-		healthy = out.Dist == w.dist && serr == nil
-	}
-	var sr *solver.Result
-	if out != nil {
-		sr = out.Result
-	}
-	switch {
-	case serr == nil:
-		finish(sr, final)
-		if healthy {
-			w.dist.InjectFaults(nil)
-		}
-		a.release(w, healthy)
-		if final != nil && final != w.dist {
-			final.Close()
-		}
-		solvesOK.Add(1)
-		e.jobs.complete(j, res)
-		return res, nil
-	case errors.Is(serr, solver.ErrInterrupted):
-		if final == w.dist {
-			w.dist.InjectFaults(nil)
-		}
-		a.release(w, final == w.dist)
-		if final != nil && final != w.dist {
-			final.Close()
-		}
-		if e.closingNow() {
-			finish(sr, nil)
-			return res, aj.park(res, fmt.Errorf("serve: %w: engine closing", ErrClosed))
-		}
-		res.Canceled = true
-		finish(sr, nil)
-		solvesCanceled.Add(1)
-		cerr := fmt.Errorf("serve: %w: %w", ErrCanceled, ctx.Err())
-		e.jobs.cancel(j, res, cerr)
-		return res, cerr
-	default:
-		finish(sr, nil)
-		a.release(w, false)
-		if final != nil && final != w.dist {
-			final.Close()
-		}
-		solvesFailed.Add(1)
-		ferr := fmt.Errorf("serve: supervised solve failed: %w", serr)
-		e.jobs.fail(j, res, ferr)
-		return res, ferr
-	}
 }

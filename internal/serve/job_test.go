@@ -17,10 +17,12 @@ import (
 )
 
 // TestJobSurvivesWorkerKill is the tentpole's live-migration pin: a
-// kill fault murders the worker mid-solve and the job must finish on a
-// different pool worker — certified, at full width, bit-identical to
-// an uninterrupted reference solve — with the serve.job.* metrics
-// proving it resumed from a checkpoint instead of starting over.
+// worker death mid-solve — a kill fault or a PE panic that poisons the
+// Dist — and the job must finish on a different pool worker —
+// certified, at full width, bit-identical to an uninterrupted reference
+// solve — with the serve.job.* metrics proving it resumed from a
+// checkpoint instead of starting over. A death before the first
+// checkpoint has nothing to resume from and fails the job unmigrated.
 func TestJobSurvivesWorkerKill(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	e := newTestEngine(t, Config{})
@@ -33,48 +35,78 @@ func TestJobSurvivesWorkerKill(t *testing.T) {
 		t.Fatalf("reference solve: converged=%v certified=%v", ref.Converged, ref.Certified)
 	}
 
-	migrations0 := jobMigrations.Value()
-	saved0 := jobItersSaved.Value()
-	supervised0 := solvesSupervise.Value()
-	res := mustSolve(t, srv, `{"scenario":"tiny-mig","pes":4,"tol":1e-10,"faults":"kill:pe=1,iter=5","recovery":"migrate"}`)
-	if !res.Converged {
-		t.Fatal("migrated solve did not converge")
-	}
-	if !res.Certified || res.CertResidual > 1e-6 {
-		t.Fatalf("migrated answer not certified: certified=%v residual=%g", res.Certified, res.CertResidual)
-	}
-	if res.Width != 4 {
-		t.Fatalf("migrated solve finished at width %d, want the full 4 (no shrink)", res.Width)
-	}
-	if res.Migrations != 1 {
-		t.Fatalf("result reports %d migrations, want exactly 1", res.Migrations)
-	}
-	if res.SolutionFP != ref.SolutionFP {
-		t.Fatalf("migrated solve diverged from the uninterrupted reference: fp %x vs %x",
-			res.SolutionFP, ref.SolutionFP)
-	}
-	if res.JobID == "" {
-		t.Fatal("solve result carries no job id")
-	}
-	if d := jobMigrations.Value() - migrations0; d != 1 {
-		t.Fatalf("serve.job.migrations advanced by %d, want 1", d)
-	}
-	// The resume point proves pre-checkpoint iterations were NOT re-run.
-	if d := jobItersSaved.Value() - saved0; d < 1 {
-		t.Fatalf("serve.job.resumed_iters_saved advanced by %d, want >= 1", d)
-	}
-	// Migration must not have gone through the elastic supervisor.
-	if d := solvesSupervise.Value() - supervised0; d != 0 {
-		t.Fatalf("serve.solves.supervised advanced by %d on the migrate path, want 0", d)
-	}
+	for _, tc := range []struct {
+		faults  string
+		migrate bool
+	}{
+		{"kill:pe=1,iter=5", true},
+		{"panic:pe=1,iter=5", true},
+		// Kernel 1 is the initial residual, before the iteration-0
+		// snapshot.
+		{"kill:pe=1,iter=1", false},
+	} {
+		t.Run(tc.faults, func(t *testing.T) {
+			body := fmt.Sprintf(`{"scenario":"tiny-mig","pes":4,"tol":1e-10,"faults":%q,"recovery":"migrate"}`, tc.faults)
+			migrations0 := jobMigrations.Value()
+			saved0 := jobItersSaved.Value()
+			supervised0 := solvesSupervise.Value()
+			failed0 := jobFailed.Value()
+			if !tc.migrate {
+				resp := postSolve(t, srv, body)
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					t.Fatal("death before the first checkpoint did not fail the job")
+				}
+				if d := jobFailed.Value() - failed0; d != 1 {
+					t.Fatalf("serve.job.failed advanced by %d, want 1", d)
+				}
+				if d := jobMigrations.Value() - migrations0; d != 0 {
+					t.Fatalf("serve.job.migrations advanced by %d with no checkpoint to resume, want 0", d)
+				}
+				return
+			}
+			res := mustSolve(t, srv, body)
+			if !res.Converged {
+				t.Fatal("migrated solve did not converge")
+			}
+			if !res.Certified || res.CertResidual > 1e-6 {
+				t.Fatalf("migrated answer not certified: certified=%v residual=%g", res.Certified, res.CertResidual)
+			}
+			if res.Width != 4 {
+				t.Fatalf("migrated solve finished at width %d, want the full 4 (no shrink)", res.Width)
+			}
+			if res.Migrations != 1 {
+				t.Fatalf("result reports %d migrations, want exactly 1", res.Migrations)
+			}
+			if res.SolutionFP != ref.SolutionFP {
+				t.Fatalf("migrated solve diverged from the uninterrupted reference: fp %x vs %x",
+					res.SolutionFP, ref.SolutionFP)
+			}
+			if res.JobID == "" {
+				t.Fatal("solve result carries no job id")
+			}
+			if d := jobMigrations.Value() - migrations0; d != 1 {
+				t.Fatalf("serve.job.migrations advanced by %d, want 1", d)
+			}
+			// The resume point proves pre-checkpoint iterations were NOT re-run.
+			if d := jobItersSaved.Value() - saved0; d < 1 {
+				t.Fatalf("serve.job.resumed_iters_saved advanced by %d, want >= 1", d)
+			}
+			// Migration must not have gone through the elastic policy.
+			if d := solvesSupervise.Value() - supervised0; d != 0 {
+				t.Fatalf("serve.solves.supervised advanced by %d on the migrate path, want 0", d)
+			}
 
-	// The job record agrees: two dispatches, one forced by the death.
-	st, ok := e.Job(res.JobID)
-	if !ok {
-		t.Fatalf("job %s not tracked", res.JobID)
-	}
-	if st.State != JobCompleted || st.Attempts != 2 || st.Migrations != 1 {
-		t.Fatalf("job status after migration: %+v", st)
+			// The job record agrees: two dispatches, one forced by the death.
+			st, ok := e.Job(res.JobID)
+			if !ok {
+				t.Fatalf("job %s not tracked", res.JobID)
+			}
+			if st.State != JobCompleted || st.Attempts != 2 || st.Migrations != 1 {
+				t.Fatalf("job status after migration: %+v", st)
+			}
+		})
 	}
 
 	// The tuple keeps serving on a healthy worker afterwards.

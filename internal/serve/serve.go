@@ -25,9 +25,10 @@
 // wait, and anything beyond that is refused immediately (ErrBusy; the
 // HTTP layer answers 429). Each request carries budgets — an iteration
 // cap and a wall deadline enforced via context at the solver's
-// checkpoint boundaries — and kill/revive fault plans route through
-// recover.Supervise so a faulted pool member heals without dropping
-// the session.
+// checkpoint boundaries. Every solve runs through recover.Supervise:
+// under the elastic policy a kill shrinks the worker's partition and a
+// revive regrows it in place; under the migrate policy (fault-free
+// solves included) a dead worker is swapped for another pool member.
 package serve
 
 import (

@@ -114,9 +114,8 @@ type SolveResult struct {
 	// request's when a kill shrank the partition and no revive grew it
 	// back.
 	Width int `json:"width"`
-	// Elastic-recovery outcome of a faulted solve. Migrations counts
-	// both supervisor-internal migrations and whole-worker job
-	// migrations on the RecoveryMigrate path.
+	// Recovery outcome of a faulted solve: shrinks and grows under the
+	// elastic policy, worker migrations under RecoveryMigrate.
 	Shrinks    int   `json:"shrinks,omitempty"`
 	Grows      int   `json:"grows,omitempty"`
 	Migrations int   `json:"migrations,omitempty"`
