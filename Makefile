@@ -112,13 +112,14 @@ serve-smoke:
 serve-chaos:
 	$(GO) run ./cmd/quaked -chaos -smoke-pes 4
 
-# The width/order matrix: the service-facing packages at GOMAXPROCS 1,
-# 2 and 4 in shuffled order, so a test that only passes on a 1-CPU box
-# or in file order fails here. internal/recover is left out:
+# The width/order matrix: the service-facing packages and the runtime
+# and solver under them (par, solver) at GOMAXPROCS 1, 2 and 4 in
+# shuffled order, so a test that only passes on a 1-CPU box or in file
+# order fails here. internal/recover is left out:
 # TestRebalanceReducesMeasuredLambda asserts a wall-clock λ that a
 # loaded 2-CPU host can miss at -cpu 4.
 width-smoke:
-	$(GO) test -count=1 -shuffle=on -cpu 1,2,4 ./cmd/quakesim ./cmd/quaked ./internal/serve ./internal/regress
+	$(GO) test -count=1 -shuffle=on -cpu 1,2,4 ./cmd/quakesim ./cmd/quaked ./internal/serve ./internal/regress ./internal/par ./internal/solver
 
 # One-shot figure regeneration without the benchmark harness.
 repro:

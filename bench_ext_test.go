@@ -204,57 +204,6 @@ func BenchmarkDistCGSolve(b *testing.B) {
 	b.ReportMetric(float64(iters), "iters/solve")
 }
 
-// BenchmarkDistCGSolveFused is BenchmarkDistCGSolve with Fused on: the
-// solver takes the ApplyDot path (SMVP and p·Ap in one runtime dispatch)
-// and the merged x/r/norm update sweep. benchjson pairs the two under
-// cg_unfused/cg_fused in the report's kernels section.
-func BenchmarkDistCGSolveFused(b *testing.B) {
-	m, err := quake.SF10.Mesh()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := quake.Assemble(m, quake.SanFernando())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pt, err := partition.PartitionMesh(m, 8, partition.RCB, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pr, err := partition.Analyze(m, pt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dist, err := quake.NewDist(m, quake.SanFernando(), pt, pr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dist.Close()
-	op := quake.DistOperator{D: dist, Shift: 20, MassNode: sys.MassNode}
-	n := op.Dim()
-	rhs := make([]float64, n)
-	rhs[3] = 1e2
-	x := make([]float64, n)
-	ws := quake.NewCGWorkspace(n)
-	var iters int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range x {
-			x[j] = 0
-		}
-		res, err := quake.SolveCG(op, rhs, x, quake.CGConfig{MaxIter: 2 * n, Tol: 1e-7, Workspace: ws, Fused: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Converged {
-			b.Fatal("CG did not converge")
-		}
-		iters = res.Iterations
-	}
-	b.ReportMetric(float64(iters), "iters/solve")
-}
-
 // BenchmarkAblationBlockSize sweeps the transfer-unit size: the same
 // sf5/64 exchange executed with maximal blocks down to 4-word
 // cache-line blocks on the measured T3E. Latency dominance appears as

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,12 +16,17 @@ import (
 )
 
 // TestRunHTTP drives a live solve with -http armed and queries every
-// observability endpoint while the run is in flight: Prometheus text
-// /metrics, the JSON snapshot, expvar, the flight ring, and pprof.
+// observability endpoint while the run is up: Prometheus text
+// /metrics, the JSON snapshot, expvar, the flight ring, and pprof. The
+// run holds the server open until the last probe is done, so a run
+// that finishes quickly cannot turn a probe into "connection refused".
 func TestRunHTTP(t *testing.T) {
 	opt := base(60, 4)
 	opt.http = "127.0.0.1:0"
 	opt.httpReady = make(chan string, 1)
+	opt.httpHold = make(chan struct{})
+	var release sync.Once
+	t.Cleanup(func() { release.Do(func() { close(opt.httpHold) }) })
 
 	done := make(chan error, 1)
 	go func() { done <- run(opt) }()
@@ -75,33 +81,24 @@ func TestRunHTTP(t *testing.T) {
 		t.Errorf("/debug/pprof/goroutine: code=%d", code)
 	}
 
-	// Poll the snapshot while the solve is live: once the distributed
-	// kernels start, the per-PE phase telemetry must show up.
-	sawPhases := false
-	for !sawPhases {
+	// Poll the snapshot until the per-PE phase telemetry shows up: the
+	// distributed kernels register it, and the held server outlives the
+	// run, so a fast run cannot end the poll early.
+	deadline := time.After(60 * time.Second)
+	for sawPhases := false; !sawPhases; {
 		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			if !sawPhases {
-				t.Log("run finished before a poll caught the phase accumulators live")
-			}
-			return
+		case <-deadline:
+			t.Fatal("per-PE phase accumulators never appeared in /metrics.json")
 		case <-time.After(5 * time.Millisecond):
-			resp, err := http.Get("http://" + addr + "/metrics.json")
-			if err != nil {
-				continue // server may already be gone; the done case decides
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			var s obs.Snapshot
-			if json.Unmarshal(body, &s) == nil {
-				_, sawPhases = s.PEAccums["par.phase.compute.ns"]
-			}
+		}
+		_, body := get("/metrics.json")
+		var s obs.Snapshot
+		if json.Unmarshal([]byte(body), &s) == nil {
+			_, sawPhases = s.PEAccums["par.phase.compute.ns"]
 		}
 	}
 
+	release.Do(func() { close(opt.httpHold) })
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)
 	}

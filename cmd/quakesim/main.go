@@ -81,6 +81,10 @@ type options struct {
 	// server is up (non-blocking send). Tests use it to query the
 	// endpoints mid-solve.
 	httpReady chan string
+	// httpHold, when non-nil, keeps the -http server up after the run
+	// until the channel is closed, so a test can finish probing the
+	// endpoints however fast the run itself ends.
+	httpHold chan struct{}
 }
 
 // parseOptions binds the flag set. Parse errors (unknown flags, bad
@@ -201,6 +205,9 @@ func run(opt *options) error {
 			return fmt.Errorf("-http: %w", err)
 		}
 		defer shutdown(context.Background())
+		if opt.httpHold != nil {
+			defer func() { <-opt.httpHold }()
+		}
 		fmt.Printf("observability: http://%s/ (metrics, flight ring, pprof)\n", addr)
 		if opt.httpReady != nil {
 			select {

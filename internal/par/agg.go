@@ -196,7 +196,7 @@ func (rt *peRuntime) aggExchange(pe int, a *aggState) {
 		copy(op.dst, op.src)
 	}
 	rt.tm.Comm[pe] += time.Since(start)
-	rt.met.aggFused.Add(a.fusedOut[pe])
+	rt.met.aggBlocks.Add(a.fusedOut[pe])
 	rt.met.aggStagedBytes.Add(a.stagedBytes[pe])
 	sp.End()
 }

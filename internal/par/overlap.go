@@ -31,7 +31,7 @@ func (d *Dist) SMVPOverlapped(y, x []float64) (*Timing, error) {
 			3*d.GlobalNodes, len(x), len(y))
 	}
 	d.rt.met.smvps.Add(1)
-	return d.rt.runKernel(d.rt.overlapBody, y, x)
+	return d.rt.runKernel(d.rt.overlapBody, y, x, 0, nil)
 }
 
 // overlappedPE is the per-PE body of the overlapped kernel. Message

@@ -63,13 +63,12 @@ type Dist struct {
 // sent and received by the PE, i.e. 8·C[i] per SMVP invocation.
 type distMetrics struct {
 	smvps     *obs.Counter
-	fusedSmvp *obs.Counter
 	exchMsgs  *obs.Counter
 	msgBytes  *obs.Histogram
 	exchBytes []*obs.Counter
 	// Aggregated-exchange counters: fused inter-node blocks sent and
 	// bytes gather-copied into staging (zero while aggregation is off).
-	aggFused       *obs.Counter
+	aggBlocks      *obs.Counter
 	aggStagedBytes *obs.Counter
 	// Per-PE phase accumulators and merged duration histograms: the
 	// substrate obs/analyze reads for λ, stragglers, and Eq.(2) drift.
@@ -85,11 +84,10 @@ type distMetrics struct {
 func newDistMetrics(p int) distMetrics {
 	m := distMetrics{
 		smvps:          obs.GetCounter("par.smvp.calls"),
-		fusedSmvp:      obs.GetCounter("par.smvp.fused_calls"),
 		exchMsgs:       obs.GetCounter("par.exchange.msgs"),
 		msgBytes:       obs.GetHistogram("par.exchange.msg_bytes"),
 		exchBytes:      make([]*obs.Counter, p),
-		aggFused:       obs.GetCounter("par.exchange.agg.fused_blocks"),
+		aggBlocks:      obs.GetCounter("par.exchange.agg.fused_blocks"),
 		aggStagedBytes: obs.GetCounter("par.exchange.agg.staged_bytes"),
 		phaseCompute:   obs.GetPEAccum("par.phase.compute.ns", p),
 		phaseExchange:  obs.GetPEAccum("par.phase.exchange.ns", p),
@@ -335,7 +333,8 @@ func maxDur(ds []time.Duration) time.Duration {
 
 // SMVP computes y = K·x with the distributed operator: scatter x,
 // parallel local SMVPs, barrier, partial-sum exchange, gather. x and y
-// are global vectors of length 3·GlobalNodes.
+// are global vectors of length 3·GlobalNodes. Operator.Apply runs the
+// same kernel with the owners adding the mass shift as they gather.
 //
 // The kernel runs on the Dist's persistent PEs against preallocated
 // workspaces: in steady state it allocates nothing and spawns no
@@ -343,50 +342,38 @@ func maxDur(ds []time.Duration) time.Duration {
 // invocation) is owned by the Dist and overwritten by the next kernel
 // call — copy it if it must survive.
 func (d *Dist) SMVP(y, x []float64) (*Timing, error) {
+	return d.smvp(y, x, 0, nil)
+}
+
+// smvp runs the phased kernel y = K·x + σ·diag(mass)·x; a nil mass
+// leaves the shift out.
+func (d *Dist) smvp(y, x []float64, sigma float64, mass []float64) (*Timing, error) {
 	if len(x) != 3*d.GlobalNodes || len(y) != 3*d.GlobalNodes {
 		return nil, fmt.Errorf("par: SMVP needs vectors of length %d, got %d/%d",
 			3*d.GlobalNodes, len(x), len(y))
 	}
 	d.rt.met.smvps.Add(1)
-	return d.rt.runKernel(d.rt.phasedBody, y, x)
-}
-
-// SMVPDot is the fused distributed kernel: y = K·x and the global dot
-// x·y in one pass over the runtime. It runs the same phased body as
-// SMVP — y is bit-identical to a plain SMVP, flat or aggregated — with
-// the fused dot armed: each PE accumulates x·y over its owned nodes
-// during the gather phase into a preallocated padded slot, and the
-// coordinator sums the partials in ascending PE order. The reduction
-// is deterministic for a given partition but groups terms by PE, so
-// the dot agrees with a sequential dot(x, y) to rounding, not bit for
-// bit. Steady-state cost matches SMVP: zero allocations, zero
-// goroutine spawns, one extra multiply-add per owned scalar.
-func (d *Dist) SMVPDot(y, x []float64) (float64, *Timing, error) {
-	if len(x) != 3*d.GlobalNodes || len(y) != 3*d.GlobalNodes {
-		return 0, nil, fmt.Errorf("par: SMVPDot needs vectors of length %d, got %d/%d",
-			3*d.GlobalNodes, len(x), len(y))
-	}
-	d.rt.met.smvps.Add(1)
-	d.rt.met.fusedSmvp.Add(1)
-	return d.rt.runKernelDot(d.rt.phasedBody, y, x)
+	return d.rt.runKernel(d.rt.phasedBody, y, x, sigma, mass)
 }
 
 // phasedPE is the per-PE body of the phased SMVP: scatter and local
 // multiply, post partial sums into the PE's own send buffers, cross the
 // phase barrier (the synchronization point separating the computation
-// phase from the exchange), then read the neighbors' buffers in place
-// and accumulate. Scatter and gather are untimed, as before:
-// distribution of x is part of the surrounding application, which
-// keeps x resident.
+// phase from the exchange), read the neighbors' buffers in place and
+// accumulate, then gather: each owner writes its nodes' rows of the
+// global y, adding the mass shift (σ·m)·x on the way when the kernel
+// carries one. Scatter and gather are untimed, as before: distribution
+// of x is part of the surrounding application, which keeps x resident.
 func (rt *peRuntime) phasedPE(pe int) {
 	ws := &rt.ws[pe]
 	nodes := rt.nodes[pe]
 	x, y := rt.x, rt.y
 	fi, iter := rt.fi, rt.iter
 	agg := rt.agg
-	fdot := rt.fusedDot
 	for l, g := range nodes {
-		copy(ws.x[3*l:3*l+3], x[3*g:3*g+3])
+		ws.x[3*l] = x[3*g]
+		ws.x[3*l+1] = x[3*g+1]
+		ws.x[3*l+2] = x[3*g+2]
 	}
 
 	// Computation phase.
@@ -409,7 +396,9 @@ func (rt *peRuntime) phasedPE(pe int) {
 	for k, locals := range rt.shared[pe] {
 		buf := ws.send[k]
 		for s, l := range locals {
-			copy(buf[3*s:3*s+3], ws.y[3*l:3*l+3])
+			buf[3*s] = ws.y[3*l]
+			buf[3*s+1] = ws.y[3*l+1]
+			buf[3*s+2] = ws.y[3*l+2]
 		}
 		if fi != nil {
 			fi.CorruptSend(pe, int(rt.neighbors[pe][k]), iter, buf)
@@ -477,34 +466,31 @@ func (rt *peRuntime) phasedPE(pe int) {
 	rt.met.observeExchange(pe, iter, rt.tm.Comm[pe])
 	sp.End()
 
-	// Gather phase: owners write their nodes' results. With the fused
-	// dot armed, the same loop folds this PE's share of x·y — the dot
-	// over its owned nodes, every term formed from values already in
-	// registers — into the PE's padded slot. The y written back is the
-	// same either way, so a fused kernel's output is bit-identical to
-	// the plain SMVP's.
-	if fdot {
-		var d float64
+	// Gather phase: owners write their nodes' results, shifted by
+	// (σ·m)·x when the kernel carries a mass diagonal. The shift reads
+	// the PE's own scattered copy of x, so y = K·x + (σ·m)·x is formed
+	// exactly as the serial y += (σ·m)·x pass over the finished product
+	// would form it, bit for bit.
+	if mass := rt.mass; mass != nil {
+		sigma := rt.shift
 		for l, g := range nodes {
 			if rt.owner[g] != int32(pe) {
 				continue
 			}
-			y0, y1, y2 := ws.y[3*l], ws.y[3*l+1], ws.y[3*l+2]
-			y[3*g] = y0
-			y[3*g+1] = y1
-			y[3*g+2] = y2
-			d += ws.x[3*l] * y0
-			d += ws.x[3*l+1] * y1
-			d += ws.x[3*l+2] * y2
+			f := sigma * mass[g]
+			y[3*g] = ws.y[3*l] + f*ws.x[3*l]
+			y[3*g+1] = ws.y[3*l+1] + f*ws.x[3*l+1]
+			y[3*g+2] = ws.y[3*l+2] + f*ws.x[3*l+2]
 		}
-		rt.dotSlots[pe*dotStride] = d
 		return
 	}
 	for l, g := range nodes {
 		if rt.owner[g] != int32(pe) {
 			continue
 		}
-		copy(y[3*g:3*g+3], ws.y[3*l:3*l+3])
+		y[3*g] = ws.y[3*l]
+		y[3*g+1] = ws.y[3*l+1]
+		y[3*g+2] = ws.y[3*l+2]
 	}
 }
 
@@ -564,48 +550,23 @@ type Operator struct {
 	MassNode []float64
 }
 
-// Apply implements solver.Operator. A kernel failure — a dimension
-// mismatch, a closed Dist, or a Dist poisoned by a PE fault — is
-// propagated as an error, and solver.CG aborts the solve with it.
+// Apply implements solver.Operator: one phased kernel whose owners
+// add the mass shift while gathering y, so the product needs no serial
+// pass on the caller's side. It is bit-identical to SMVP followed by
+// y += (Shift·m)·x node by node, and advances an armed fault injector
+// by exactly one kernel. A kernel failure — a dimension mismatch, a
+// closed Dist, or a Dist poisoned by a PE fault — is propagated as an
+// error, and solver.CG aborts the solve with it.
 func (o Operator) Apply(y, x []float64) error {
-	if _, err := o.D.SMVP(y, x); err != nil {
-		return err
-	}
+	var mass []float64
 	if o.Shift > 0 {
-		for i, m := range o.MassNode {
-			f := o.Shift * m
-			y[3*i] += f * x[3*i]
-			y[3*i+1] += f * x[3*i+1]
-			y[3*i+2] += f * x[3*i+2]
+		if len(o.MassNode) != o.D.GlobalNodes {
+			return fmt.Errorf("par: Operator mass diagonal has %d entries, want %d", len(o.MassNode), o.D.GlobalNodes)
 		}
+		mass = o.MassNode
 	}
-	return nil
-}
-
-// ApplyDot implements solver.FusedOperator: the distributed SMVP and
-// the global dot x·y come out of one kernel dispatch, saving the full
-// extra sweep over the global vectors (and, on a real machine, one of
-// CG's two allreduces per iteration). The mass shift folds its own
-// contribution into both y and the dot, like solver.Shifted.ApplyDot.
-// The fused dot groups terms by owning PE, so it matches a sequential
-// dot to rounding rather than bit for bit — fused distributed CG is
-// certified against unfused CG at solve tolerance.
-func (o Operator) ApplyDot(y, x []float64) (float64, error) {
-	d, _, err := o.D.SMVPDot(y, x)
-	if err != nil {
-		return 0, err
-	}
-	if o.Shift > 0 {
-		for i, m := range o.MassNode {
-			f := o.Shift * m
-			x0, x1, x2 := x[3*i], x[3*i+1], x[3*i+2]
-			y[3*i] += f * x0
-			y[3*i+1] += f * x1
-			y[3*i+2] += f * x2
-			d += f * (x0*x0 + x1*x1 + x2*x2)
-		}
-	}
-	return d, nil
+	_, err := o.D.smvp(y, x, o.Shift, mass)
+	return err
 }
 
 // Dim implements solver.Operator.

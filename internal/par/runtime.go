@@ -179,19 +179,13 @@ type peRuntime struct {
 	body func(pe int)
 
 	// In-flight kernel arguments and the reused Timing report. tm is
-	// overwritten by the next kernel invocation on this Dist.
-	x, y []float64
-	tm   Timing
-
-	// fusedDot arms the phased body's fused dot accumulation for the
-	// in-flight kernel: each PE folds x·y over its owned nodes into its
-	// dotSlots entry during the gather phase. Written under the dispatch
-	// mutex, read by PEs between the barriers — same discipline as x/y.
-	fusedDot bool
-	// dotSlots holds one partial dot per PE at stride dotStride (a full
-	// cache line), so concurrent PE writes never share a line.
-	// Preallocated: the fused kernel stays at zero allocations per call.
-	dotSlots []float64
+	// overwritten by the next kernel invocation on this Dist. mass and
+	// shift are the phased kernel's optional diagonal shift (nil mass:
+	// none), handed over with x and y.
+	x, y  []float64
+	mass  []float64
+	shift float64
+	tm    Timing
 
 	// Kernel bodies, bound once so dispatching allocates nothing.
 	phasedBody  func(pe int)
@@ -243,7 +237,6 @@ func newPERuntime(d *Dist) *peRuntime {
 		interior:  d.Interior,
 		met:       newDistMetrics(d.P),
 		ws:        make([]peWorkspace, d.P),
-		dotSlots:  make([]float64, d.P*dotStride),
 		start:     newBarrier(d.P + 1),
 		done:      newBarrier(d.P + 1),
 		bar:       newBarrier(d.P),
@@ -371,9 +364,10 @@ func (rt *peRuntime) run(body func(pe int)) error {
 	return rt.collectFaults()
 }
 
-// runKernel runs an SMVP body against the global vectors x and y and
+// runKernel runs an SMVP body against the global vectors x and y, with
+// the diagonal shift σ·mass for the phased body (nil mass: none), and
 // returns the runtime's reused Timing.
-func (rt *peRuntime) runKernel(body func(pe int), y, x []float64) (*Timing, error) {
+func (rt *peRuntime) runKernel(body func(pe int), y, x []float64, sigma float64, mass []float64) (*Timing, error) {
 	rt.dispatch.Lock()
 	defer rt.dispatch.Unlock()
 	if err := rt.usable(); err != nil {
@@ -382,52 +376,16 @@ func (rt *peRuntime) runKernel(body func(pe int), y, x []float64) (*Timing, erro
 	if rt.fi != nil {
 		rt.iter = rt.fi.BeginKernel()
 	}
-	rt.x, rt.y = x, y
+	rt.x, rt.y, rt.shift, rt.mass = x, y, sigma, mass
 	rt.body = body
 	rt.start.await()
 	rt.done.await()
 	rt.body = nil
-	rt.x, rt.y = nil, nil
+	rt.x, rt.y, rt.mass = nil, nil, nil
 	if err := rt.collectFaults(); err != nil {
 		return nil, err
 	}
 	return &rt.tm, nil
-}
-
-// dotStride spaces the per-PE dot slots one cache line (8 float64)
-// apart so the concurrent slot writes of the fused kernel never share
-// a line.
-const dotStride = 8
-
-// runKernelDot runs an SMVP body with the fused dot armed and returns
-// the x·y dot alongside the Timing. The per-PE partials are summed in
-// ascending PE order, so the reduction is deterministic for a given
-// partition — repeated calls yield bit-identical dots.
-func (rt *peRuntime) runKernelDot(body func(pe int), y, x []float64) (float64, *Timing, error) {
-	rt.dispatch.Lock()
-	defer rt.dispatch.Unlock()
-	if err := rt.usable(); err != nil {
-		return 0, nil, err
-	}
-	if rt.fi != nil {
-		rt.iter = rt.fi.BeginKernel()
-	}
-	rt.x, rt.y = x, y
-	rt.fusedDot = true
-	rt.body = body
-	rt.start.await()
-	rt.done.await()
-	rt.body = nil
-	rt.x, rt.y = nil, nil
-	rt.fusedDot = false
-	if err := rt.collectFaults(); err != nil {
-		return 0, nil, err
-	}
-	var d float64
-	for pe := 0; pe < rt.p; pe++ {
-		d += rt.dotSlots[pe*dotStride]
-	}
-	return d, &rt.tm, nil
 }
 
 // usable reports whether kernels may be dispatched: not closed, not

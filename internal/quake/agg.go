@@ -71,7 +71,7 @@ func AggSweep(s Scenario, p int, method partition.Method, nodeSizes []int, cfg n
 			FlatBmax:     pr.Bmax(),
 			InterBmax:    a.InterBmax(),
 			FlatBlocks:   int64(flatBlocks),
-			FusedBlocks:  int64(a.Internode.TotalBlocks()),
+			InterBlocks:  int64(a.Internode.TotalBlocks()),
 			PayloadWords: a.PayloadWords(),
 			CopiedWords:  a.CopiedWords(),
 			Beta:         model.BetaOf(c, b),

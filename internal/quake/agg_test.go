@@ -63,7 +63,7 @@ func TestAggSweepSF10(t *testing.T) {
 	if id.NodeSize != 1 || id.Nodes != 16 {
 		t.Fatalf("first row is not the flat anchor: %+v", id)
 	}
-	if id.CopiedWords != 0 || id.InterBmax != id.FlatBmax || id.FusedBlocks != id.FlatBlocks {
+	if id.CopiedWords != 0 || id.InterBmax != id.FlatBmax || id.InterBlocks != id.FlatBlocks {
 		t.Fatalf("node size 1 does not reproduce the flat exchange: %+v", id)
 	}
 	if id.AggComm != id.FlatComm {
@@ -71,9 +71,9 @@ func TestAggSweepSF10(t *testing.T) {
 	}
 	for i := 1; i < len(rows); i++ {
 		r, prev := rows[i], rows[i-1]
-		if r.FusedBlocks > prev.FusedBlocks {
+		if r.InterBlocks > prev.InterBlocks {
 			t.Errorf("node size %d: fused blocks grew %d -> %d",
-				r.NodeSize, prev.FusedBlocks, r.FusedBlocks)
+				r.NodeSize, prev.InterBlocks, r.InterBlocks)
 		}
 		if r.CopiedWords == 0 {
 			t.Errorf("node size %d: no copied words despite grouping", r.NodeSize)

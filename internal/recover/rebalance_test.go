@@ -140,8 +140,9 @@ func TestRebalancePartitionReducesSkew(t *testing.T) {
 // TestRebalanceReducesMeasuredLambda is the acceptance criterion: on a
 // deliberately skewed sf-family partition, one rebalance pass driven by
 // *measured* per-PE compute time reduces the measured λ = max/mean. The
-// skew is large (40% of elements on PE 0, λ ≈ 3) so timing noise
-// cannot mask the improvement.
+// skew is large (40% of elements on PE 0, λ ≈ 3), and each PE's load
+// is its fastest of several timed phases, so timing noise on a loaded
+// host cannot mask the improvement.
 func TestRebalanceReducesMeasuredLambda(t *testing.T) {
 	m, err := quake.SF10.Mesh()
 	if err != nil {
@@ -170,21 +171,32 @@ func TestRebalanceReducesMeasuredLambda(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i%7) * 0.25
 	}
-	const reps = 12
+	// Each SMVP is its own telemetry window, and a PE's load is its
+	// fastest compute phase across the windows. A phase that lost its
+	// CPU to another process only ever reads longer, so the minimum
+	// keeps the element-count skew and drops the host's scheduling
+	// noise, which a sum over the windows would carry into λ.
+	const reps = 32
 	measure := func(d *par.Dist, p int) []int64 {
 		t.Helper()
-		before := obs.Default.Snapshot()
+		loads := make([]int64, p)
 		for i := 0; i < reps; i++ {
+			before := obs.Default.Snapshot()
 			if _, err := d.SMVP(y, x); err != nil {
 				t.Fatal(err)
 			}
+			w, ok := analyze.FromSnapshots(obs.Default.Snapshot(), before)
+			if !ok {
+				t.Fatal("no analysis window in telemetry delta")
+			}
+			// The accumulator registry never shrinks; trim to the live width.
+			for pe, ns := range w.ComputeNS[:p] {
+				if i == 0 || ns < loads[pe] {
+					loads[pe] = ns
+				}
+			}
 		}
-		w, ok := analyze.FromSnapshots(obs.Default.Snapshot(), before)
-		if !ok {
-			t.Fatal("no analysis window in telemetry delta")
-		}
-		// The accumulator registry never shrinks; trim to the live width.
-		return w.ComputeNS[:p]
+		return loads
 	}
 
 	loads := measure(d, pt.P)

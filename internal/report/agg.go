@@ -9,8 +9,9 @@ type AggregationRow struct {
 	// FlatBmax / InterBmax are the paper's B_max before aggregation and
 	// the max fused inter-node blocks per PE after.
 	FlatBmax, InterBmax int64
-	// FlatBlocks / FusedBlocks are the directed totals.
-	FlatBlocks, FusedBlocks int64
+	// FlatBlocks / InterBlocks are the directed totals before and after
+	// aggregation.
+	FlatBlocks, InterBlocks int64
 	// PayloadWords is the application's exchange volume; CopiedWords is
 	// the extra gather+scatter staging volume aggregation adds.
 	PayloadWords, CopiedWords int64
@@ -51,7 +52,7 @@ func AggregationSummary(title string, rows []AggregationRow) *Table {
 			Int(r.FlatBmax),
 			Int(r.InterBmax),
 			Int(r.FlatBlocks),
-			Int(r.FusedBlocks),
+			Int(r.InterBlocks),
 			Int(r.PayloadWords),
 			Int(r.CopiedWords),
 			F(overhead, 3),

@@ -42,8 +42,8 @@ func TestPhaseSummary(t *testing.T) {
 func TestAggregationSummaryAnalytic(t *testing.T) {
 	// No replay times anywhere: the time columns must be omitted.
 	rows := []AggregationRow{
-		{NodeSize: 1, Nodes: 16, FlatBmax: 9, InterBmax: 9, FlatBlocks: 120, FusedBlocks: 120, PayloadWords: 5000},
-		{NodeSize: 4, Nodes: 4, FlatBmax: 9, InterBmax: 3, FlatBlocks: 120, FusedBlocks: 12, PayloadWords: 5000, CopiedWords: 2500, Beta: 1.25},
+		{NodeSize: 1, Nodes: 16, FlatBmax: 9, InterBmax: 9, FlatBlocks: 120, InterBlocks: 120, PayloadWords: 5000},
+		{NodeSize: 4, Nodes: 4, FlatBmax: 9, InterBmax: 3, FlatBlocks: 120, InterBlocks: 12, PayloadWords: 5000, CopiedWords: 2500, Beta: 1.25},
 	}
 	out := renderToString(t, AggregationSummary("tradeoff", rows))
 	for _, want := range []string{"node size", "fused B_max", "copied words", "copy overhead", "β",
@@ -62,12 +62,12 @@ func TestAggregationSummaryAnalytic(t *testing.T) {
 
 func TestAggregationSummaryTimed(t *testing.T) {
 	rows := []AggregationRow{
-		{NodeSize: 1, Nodes: 8, FlatBmax: 7, InterBmax: 7, FlatBlocks: 40, FusedBlocks: 40,
+		{NodeSize: 1, Nodes: 8, FlatBmax: 7, InterBmax: 7, FlatBlocks: 40, InterBlocks: 40,
 			PayloadWords: 900, Beta: 1, FlatComm: 200e-6, AggComm: 200e-6},
 		{NodeSize: 8, Nodes: 1, FlatBmax: 7, FlatBlocks: 40,
 			PayloadWords: 900, CopiedWords: 900, Beta: 1, FlatComm: 200e-6, AggComm: 50e-6},
 		// A row with a missing flat anchor renders "-" instead of a ratio.
-		{NodeSize: 2, Nodes: 4, FlatBmax: 7, InterBmax: 4, FlatBlocks: 40, FusedBlocks: 10,
+		{NodeSize: 2, Nodes: 4, FlatBmax: 7, InterBmax: 4, FlatBlocks: 40, InterBlocks: 10,
 			PayloadWords: 900, CopiedWords: 300, Beta: 1.1, AggComm: 120e-6},
 	}
 	out := renderToString(t, AggregationSummary("tradeoff", rows))

@@ -13,8 +13,66 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/par"
+	"repro/internal/regress"
+	"repro/internal/solver"
 	"repro/internal/testutil"
 )
+
+// applyOnly exposes only an operator's Apply and Dim, the shape a
+// tracing wrapper gives the served operator when it replays a solve.
+type applyOnly struct{ solver.Operator }
+
+// TestServedSolveMatchesReplay pins the invariant an outside replay of
+// a served solve relies on: a served answer's solution_fp equals
+// solver.CG run on an Apply/Dim-only wrapper of par.Operator over a
+// fresh worker built from the same cached artifacts — for a plain solve
+// and for one whose worker is killed and migrated mid-solve, since the
+// migrated job resumes bit for bit.
+func TestServedSolveMatchesReplay(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	e := newTestEngine(t, Config{})
+	srv := startServer(t, e)
+	for _, faults := range []string{"", "kill:pe=1,iter=5"} {
+		t.Run("faults="+faults, func(t *testing.T) {
+			body := fmt.Sprintf(`{"scenario":"tiny-replay","pes":4,"tol":1e-10,"rhs_seed":7,"faults":%q,"recovery":"migrate"}`, faults)
+			res := mustSolve(t, srv, body)
+			if !res.Converged || !res.Certified {
+				t.Fatalf("served solve: converged=%v certified=%v", res.Converged, res.Certified)
+			}
+			wantMigrations := 0
+			if faults != "" {
+				wantMigrations = 1
+			}
+			if res.Migrations != wantMigrations {
+				t.Fatalf("served solve migrated %d times, want %d", res.Migrations, wantMigrations)
+			}
+
+			a, _, err := e.artifact(Key{Scenario: "tiny-replay", P: 4, Method: "rcb", NodeSize: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := a.spawn()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.dist.Close()
+			n := 3 * a.mesh.NumNodes()
+			b, x := rhsFor(7, n), make([]float64, n)
+			op := applyOnly{par.Operator{D: w.dist, Shift: 20, MassNode: a.massNode}}
+			rr, err := solver.CG(op, b, x, solver.Config{MaxIter: min(e.cfg.MaxIter, 4*n), Tol: 1e-10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rr.Iterations != res.Iterations {
+				t.Fatalf("replay took %d iterations, served %d", rr.Iterations, res.Iterations)
+			}
+			if fp := regress.Vector(x); fp != res.SolutionFP {
+				t.Fatalf("replayed solution fp %x, served %x", fp, res.SolutionFP)
+			}
+		})
+	}
+}
 
 // TestJobSurvivesWorkerKill is the tentpole's live-migration pin: a
 // worker death mid-solve — a kill fault or a PE panic that poisons the

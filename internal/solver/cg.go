@@ -6,6 +6,18 @@
 // package supplies the solver itself and, together with
 // model.AllReduce, lets the harness quantify what the paper's explicit
 // choice avoids.
+//
+// Reduction order. Every dot product and norm CG forms — ‖b‖, pᵀAp,
+// the update sweep's ‖r‖² and rᵀz, the audits' ‖b − A·x‖ and a
+// restart's rᵀz — accumulates in one fixed order: four lanes, lane =
+// index mod 4, combined as (s0+s1)+(s2+s3). The order is a constant of
+// the package, not a setting. It depends only on the vector length,
+// never on the operator, so a solve's answer is a function of the
+// values Apply returns: an operator wrapped to expose only Apply and
+// Dim retraces the bare operator bit for bit, and a distributed
+// operator at any width retraces itself whenever its products agree.
+// The four independent accumulators also break the latency-bound chain
+// of a single running sum.
 package solver
 
 import (
@@ -37,19 +49,6 @@ type Operator interface {
 	Dim() int
 }
 
-// FusedOperator is an Operator that can additionally produce the dot
-// product x·y in the same pass over the matrix that computes y = A·x.
-// CG's hot loop needs exactly this pair (ap = A·p and pᵀAp), and fusing
-// them removes one full sweep over the vectors per iteration — on a
-// distributed operator it also removes one of the two global
-// reductions. Config.Fused opts a solve into this path.
-type FusedOperator interface {
-	Operator
-	// ApplyDot computes y = A·x and returns x·y. The same error
-	// contract as Apply: a returned error is fatal to the solve.
-	ApplyDot(y, x []float64) (float64, error)
-}
-
 // BCSROperator adapts a BCSR matrix to the Operator interface.
 type BCSROperator struct{ M *sparse.BCSR }
 
@@ -57,13 +56,6 @@ type BCSROperator struct{ M *sparse.BCSR }
 func (o BCSROperator) Apply(y, x []float64) error {
 	o.M.MulVec(y, x)
 	return nil
-}
-
-// ApplyDot implements FusedOperator. The sparse fused kernel
-// accumulates the dot in sequential index order, so this path is
-// bit-identical to Apply followed by a separate dot.
-func (o BCSROperator) ApplyDot(y, x []float64) (float64, error) {
-	return o.M.MulVecDot(y, x), nil
 }
 
 // Dim implements Operator.
@@ -92,25 +84,6 @@ func (s Shifted) Apply(y, x []float64) error {
 		y[3*i+2] += f * x[3*i+2]
 	}
 	return nil
-}
-
-// ApplyDot implements FusedOperator: the stiffness product and its dot
-// ride one pass over K, then the diagonal mass shift folds its own
-// contribution to both y and the dot in a second short sweep. The shift
-// terms enter the dot in a different order than a separate sequential
-// dot over the finished y, so the result agrees to rounding, not bit
-// for bit — the tolerance the fused-CG certification tests allow.
-func (s Shifted) ApplyDot(y, x []float64) (float64, error) {
-	d := s.K.MulVecDot(y, x)
-	for i, m := range s.MassNode {
-		f := s.Sigma * m
-		x0, x1, x2 := x[3*i], x[3*i+1], x[3*i+2]
-		y[3*i] += f * x0
-		y[3*i+1] += f * x1
-		y[3*i+2] += f * x2
-		d += f * (x0*x0 + x1*x1 + x2*x2)
-	}
-	return d, nil
 }
 
 // Dim implements Operator.
@@ -229,20 +202,6 @@ type Config struct {
 	// and the iteration continues at State.Iter, reproducing the
 	// uninterrupted run bit for bit.
 	Resume *State
-	// Fused opts the solve into the fused kernels when the operator
-	// implements FusedOperator: ap = A·p and pᵀAp come out of one pass
-	// over the matrix (ApplyDot), and the x/r updates, residual norm,
-	// preconditioner application, and ρ = rᵀz merge into a single sweep
-	// over the vectors. An iteration then touches the matrix once and
-	// the iteration vectors twice (fused update + p-direction update)
-	// instead of making six separate vector sweeps. With a local
-	// BCSROperator the fused iteration is bit-identical to the unfused
-	// one (the fused kernels preserve sequential accumulation order);
-	// with a Shifted or distributed operator the merged reductions
-	// reorder sums, so the two paths agree to solve tolerance rather
-	// than bit for bit — certified by the fused-vs-unfused property
-	// tests. Operators without ApplyDot fall back to the unfused path.
-	Fused bool
 }
 
 // Workspace holds CG's four iteration vectors (r, z, p, Ap) and, when
@@ -315,8 +274,6 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 	if cfg.MaxRecoveries <= 0 {
 		cfg.MaxRecoveries = 5
 	}
-	fop, hasFused := a.(FusedOperator)
-	fused := cfg.Fused && hasFused
 
 	res := &Result{}
 
@@ -325,9 +282,6 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 	sp := obs.StartSpan(obs.TrackDriver, "solve", "solver.cg")
 	tracer := obs.ActiveTracer()
 	obs.GetCounter("solver.cg.solves").Add(1)
-	if fused {
-		obs.GetCounter("solver.cg.fused_solves").Add(1)
-	}
 	iterations := obs.GetCounter("solver.cg.iterations")
 	smvps := obs.GetCounter("solver.cg.smvps")
 	dots := obs.GetCounter("solver.cg.dotproducts")
@@ -362,6 +316,10 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 		ws.ensureCheckpoint(n)
 	}
 	r, z, p, ap := ws.r, ws.z, ws.p, ws.ap
+	prec := cfg.Precondition
+	if prec == nil {
+		z = r // M = I: z = M⁻¹r is r itself, never a copy
+	}
 
 	normB := norm2(b)
 	res.DotProducts++
@@ -372,16 +330,20 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 		res.Converged = true
 		return res, nil
 	}
-	applyPrec := func(dst, src []float64) {
-		if cfg.Precondition == nil {
-			copy(dst, src)
-			return
-		}
-		for i := range src {
-			dst[i] = cfg.Precondition[i] * src[i]
-		}
-	}
 	var rz, ckRz float64
+	// restartFrom rebuilds the Krylov state from the true residual at x,
+	// given ap = A·x: r = b − A·x, z = M⁻¹r, p = z, ρ = rᵀz.
+	restartFrom := func() {
+		for i := range r {
+			r[i] = b[i] - ap[i]
+		}
+		for i, m := range prec {
+			z[i] = m * r[i]
+		}
+		copy(p, z)
+		rz = dot(r, z)
+		res.DotProducts++
+	}
 	startIter := 0
 	if st := cfg.Resume; st != nil {
 		if len(st.X) != n || len(st.R) != n || len(st.P) != n {
@@ -402,32 +364,24 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 			return res, fmt.Errorf("solver: operator failed: %w", err)
 		}
 		res.SMVPs++
-		for i := range r {
-			r[i] = b[i] - ap[i]
-		}
-		applyPrec(z, r)
-		copy(p, z)
-		rz = dot(r, z)
-		res.DotProducts++
+		restartFrom()
 	}
 
 	// trueResidual evaluates ‖b − A·x‖ directly, using ap as scratch: at
 	// every call site the previous A·p has already been consumed by the
 	// x/r update, and the next iteration overwrites ap before reading
-	// it. (It must NOT use z — the fused path builds z = M⁻¹r before the
-	// audits run and the p-direction update reads it after them.)
+	// it. (It must NOT use z — the update sweep builds z = M⁻¹r before
+	// the audits run and the p-direction update reads it after them.)
 	trueResidual := func() (float64, error) {
 		if err := a.Apply(ap, x); err != nil {
 			return 0, err
 		}
 		res.SMVPs++
-		var s float64
 		for i := range ap {
-			d := b[i] - ap[i]
-			s += d * d
+			ap[i] = b[i] - ap[i]
 		}
 		res.DotProducts++
-		return math.Sqrt(s), nil
+		return norm2(ap), nil
 	}
 
 	// ckTr is the true residual ‖b − A·x‖ certified for the current
@@ -487,13 +441,7 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 			return fmt.Errorf("solver: operator failed during restart: %w", err)
 		}
 		res.SMVPs++
-		for i := range r {
-			r[i] = b[i] - ap[i]
-		}
-		applyPrec(z, r)
-		copy(p, z)
-		rz = dot(r, z)
-		res.DotProducts++
+		restartFrom()
 		checkpoint(norm2(r))
 		res.DotProducts++
 		return nil
@@ -530,18 +478,10 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 
 	for iter := startIter; iter < cfg.MaxIter; iter++ {
 		res.Iterations = iter + 1
-		var pap float64
-		if fused {
-			var err error
-			if pap, err = fop.ApplyDot(ap, p); err != nil {
-				return res, fmt.Errorf("solver: operator failed at iteration %d: %w", iter, err)
-			}
-		} else {
-			if err := a.Apply(ap, p); err != nil {
-				return res, fmt.Errorf("solver: operator failed at iteration %d: %w", iter, err)
-			}
-			pap = dot(p, ap)
+		if err := a.Apply(ap, p); err != nil {
+			return res, fmt.Errorf("solver: operator failed at iteration %d: %w", iter, err)
 		}
+		pap := dot(p, ap)
 		res.SMVPs++
 		res.DotProducts++
 		if !isFinite(pap) || pap <= 0 {
@@ -554,25 +494,12 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 			continue
 		}
 		alpha := rz / pap
-		var rn float64
-		var rzNext float64
-		var rzNextValid bool
-		if fused {
-			// One sweep: x/r updates, ‖r‖², z = M⁻¹r, and ρ = rᵀz. The
-			// precomputed (z, ρ) are consumed after the audits below —
-			// which is why trueResidual scratches in ap, not z.
-			rn2, rzf := fusedUpdate(x, r, z, p, ap, cfg.Precondition, alpha)
-			rn = math.Sqrt(rn2)
-			rzNext, rzNextValid = rzf, true
-			res.DotProducts += 2 // ‖r‖² and rᵀz, merged into the sweep
-		} else {
-			for i := range x {
-				x[i] += alpha * p[i]
-				r[i] -= alpha * ap[i]
-			}
-			rn = norm2(r)
-			res.DotProducts++
-		}
+		// One sweep: x/r updates, ‖r‖², z = M⁻¹r, and ρ = rᵀz. The
+		// precomputed (z, ρ) are consumed after the audits below — which
+		// is why trueResidual scratches in ap, not z.
+		rn2, rzNew := update(x, r, z, p, ap, prec, alpha)
+		rn := math.Sqrt(rn2)
+		res.DotProducts += 2 // ‖r‖² and rᵀz, merged into the sweep
 		if !isFinite(rn) {
 			if !healing {
 				return res, fmt.Errorf("solver: residual became non-finite (‖r‖ = %g) at iteration %d", rn, iter)
@@ -631,14 +558,6 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 			}
 			certified, certTr = true, tr
 		}
-		var rzNew float64
-		if rzNextValid {
-			rzNew = rzNext
-		} else {
-			applyPrec(z, r)
-			rzNew = dot(r, z)
-			res.DotProducts++
-		}
 		if healing && !isFinite(rzNew) {
 			if err := heal(fmt.Sprintf("ρ = %g at iteration %d", rzNew, iter), math.NaN()); err != nil {
 				return res, err
@@ -647,8 +566,8 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 		}
 		beta := rzNew / rz
 		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
+		for i, zi := range z[:len(p)] {
+			p[i] = zi + beta*p[i]
 		}
 		if certified {
 			// (x_{k+1}, r_{k+1}, p_{k+1}, ρ_{k+1}) — exactly the state
@@ -666,45 +585,108 @@ func CG(a Operator, b, x []float64, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// fusedUpdate is the fused CG vector sweep: in one pass over the
-// iteration vectors it applies x += α·p and r −= α·ap, accumulates
-// ‖r‖², applies the Jacobi preconditioner z = M⁻¹·r, and accumulates
-// ρ = rᵀz. Each reduction is accumulated one term at a time in
-// ascending index order — the same order the separate norm2/dot calls
-// of the unfused path use — so the fused sweep produces bit-identical
-// x, r, z, ‖r‖², and ρ. Without a preconditioner z = r and ρ = ‖r‖²,
-// again exactly what copy + dot(r, z) yields.
-func fusedUpdate(x, r, z, p, ap, prec []float64, alpha float64) (rn2, rz float64) {
+// update is CG's vector sweep: in one pass over the iteration vectors
+// it applies x += α·p and r −= α·ap, forms z = M⁻¹·r, and accumulates
+// ‖r‖² and ρ = rᵀz in the canonical reduction order (lane = index mod
+// 4, combined (s0+s1)+(s2+s3)), so both sums are bit-identical to
+// dot(r, r) and dot(r, z) over the finished vectors. Without a
+// preconditioner z aliases r: z is not written and ρ = ‖r‖².
+func update(x, r, z, p, ap, prec []float64, alpha float64) (rn2, rz float64) {
+	n := len(x)
+	r, p, ap = r[:n], p[:n], ap[:n]
+	var s0, s1, s2, s3 float64 // lanes of ‖r‖²
 	if prec == nil {
-		for i := range x {
-			x[i] += alpha * p[i]
-			ri := r[i] - alpha*ap[i]
-			r[i] = ri
-			z[i] = ri
-			rn2 += ri * ri
+		i := 0
+		for ; i+4 <= n; i += 4 {
+			xs, rs, ps, as := x[i:i+4:i+4], r[i:i+4:i+4], p[i:i+4:i+4], ap[i:i+4:i+4]
+			xs[0] += alpha * ps[0]
+			xs[1] += alpha * ps[1]
+			xs[2] += alpha * ps[2]
+			xs[3] += alpha * ps[3]
+			r0, r1, r2, r3 := rs[0]-alpha*as[0], rs[1]-alpha*as[1], rs[2]-alpha*as[2], rs[3]-alpha*as[3]
+			rs[0], rs[1], rs[2], rs[3] = r0, r1, r2, r3
+			s0 += r0 * r0
+			s1 += r1 * r1
+			s2 += r2 * r2
+			s3 += r3 * r3
 		}
+		for ; i < n; i++ {
+			x[i] += alpha * p[i]
+			r[i] -= alpha * ap[i]
+		}
+		j := n &^ 3
+		s0, s1, s2 = tail(s0, s1, s2, r[j:], r[j:])
+		rn2 = (s0 + s1) + (s2 + s3)
 		return rn2, rn2
 	}
-	for i := range x {
-		x[i] += alpha * p[i]
-		ri := r[i] - alpha*ap[i]
-		r[i] = ri
-		rn2 += ri * ri
-		zi := prec[i] * ri
-		z[i] = zi
-		rz += ri * zi
+	z, prec = z[:n], prec[:n]
+	var t0, t1, t2, t3 float64 // lanes of rᵀz
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		xs, rs, ps, as := x[i:i+4:i+4], r[i:i+4:i+4], p[i:i+4:i+4], ap[i:i+4:i+4]
+		zs, ms := z[i:i+4:i+4], prec[i:i+4:i+4]
+		xs[0] += alpha * ps[0]
+		xs[1] += alpha * ps[1]
+		xs[2] += alpha * ps[2]
+		xs[3] += alpha * ps[3]
+		r0, r1, r2, r3 := rs[0]-alpha*as[0], rs[1]-alpha*as[1], rs[2]-alpha*as[2], rs[3]-alpha*as[3]
+		rs[0], rs[1], rs[2], rs[3] = r0, r1, r2, r3
+		z0, z1, z2, z3 := ms[0]*r0, ms[1]*r1, ms[2]*r2, ms[3]*r3
+		zs[0], zs[1], zs[2], zs[3] = z0, z1, z2, z3
+		s0 += r0 * r0
+		s1 += r1 * r1
+		s2 += r2 * r2
+		s3 += r3 * r3
+		t0 += r0 * z0
+		t1 += r1 * z1
+		t2 += r2 * z2
+		t3 += r3 * z3
 	}
-	return rn2, rz
+	for ; i < n; i++ {
+		x[i] += alpha * p[i]
+		r[i] -= alpha * ap[i]
+		z[i] = prec[i] * r[i]
+	}
+	j := n &^ 3
+	s0, s1, s2 = tail(s0, s1, s2, r[j:], r[j:])
+	t0, t1, t2 = tail(t0, t1, t2, r[j:], z[j:])
+	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
+// dot returns Σ a[i]·b[i] in the canonical reduction order: four lanes,
+// lane = i mod 4, combined as (s0+s1)+(s2+s3).
 func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
+	n := len(a)
+	b = b[:n]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		as, bs := a[i:i+4:i+4], b[i:i+4:i+4]
+		s0 += as[0] * bs[0]
+		s1 += as[1] * bs[1]
+		s2 += as[2] * bs[2]
+		s3 += as[3] * bs[3]
 	}
-	return s
+	s0, s1, s2 = tail(s0, s1, s2, a[i:], b[i:])
+	return (s0 + s1) + (s2 + s3)
+}
+
+// tail folds the products of the last len(a) < 4 elements — those past
+// the final full group of four — into lanes 0, 1 and 2.
+func tail(s0, s1, s2 float64, a, b []float64) (float64, float64, float64) {
+	switch len(a) {
+	case 3:
+		s2 += a[2] * b[2]
+		fallthrough
+	case 2:
+		s1 += a[1] * b[1]
+		fallthrough
+	case 1:
+		s0 += a[0] * b[0]
+	}
+	return s0, s1, s2
 }
 
 func norm2(a []float64) float64 { return math.Sqrt(dot(a, a)) }
