@@ -60,17 +60,13 @@ bench-json:
 # Executes each distributed-kernel benchmark once (no timing fidelity):
 # a fast gate that the parallel SMVP entry points still run, and that
 # the fault-injection hooks stay allocation-free on their hot path.
-# The second step is the kernel-regression guard: it times the fused
-# MulVecDot against the unfused SMVP+dot pair (enough iterations for a
-# stable number) and fails if fusion has stopped paying for itself
-# (`benchjson -guard`, 10% slack for timer noise).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='ParallelSMVP|OverlappedSMVP|FaultHookOverhead' -benchtime=1x -benchmem .
-	$(GO) test -run='^$$' -bench='KernelGuard' -benchtime=50x . | $(GO) run ./cmd/benchjson -guard
 
 # Short mutation runs of the fuzz targets: the parsers that accept
 # untrusted input (the message-matrix schedule builder, the fault-plan
-# grammar, and the durable-checkpoint decoder) plus the
+# grammar, the durable-record frame, and the checkpoint and job-journal
+# decoders above it) plus the
 # aggregation-invariant fuzzer that hunts for schedules where the
 # two-level fusion drops or reorders words. Go allows one -fuzz pattern
 # per invocation, so each target gets its own run.
@@ -78,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFromMatrix -fuzztime=5s ./internal/comm/
 	$(GO) test -run='^$$' -fuzz=FuzzAggregate -fuzztime=5s ./internal/comm/
 	$(GO) test -run='^$$' -fuzz=FuzzParsePlan -fuzztime=5s ./internal/fault/
+	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=5s ./internal/durable/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=5s ./internal/recover/
 	$(GO) test -run='^$$' -fuzz=FuzzSolveRequest -fuzztime=5s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeJournal -fuzztime=5s ./internal/serve/
@@ -112,14 +109,12 @@ serve-smoke:
 serve-chaos:
 	$(GO) run ./cmd/quaked -chaos -smoke-pes 4
 
-# The width/order matrix: the service-facing packages and the runtime
-# and solver under them (par, solver) at GOMAXPROCS 1, 2 and 4 in
-# shuffled order, so a test that only passes on a 1-CPU box or in file
-# order fails here. internal/recover is left out:
-# TestRebalanceReducesMeasuredLambda asserts a wall-clock λ that a
-# loaded 2-CPU host can miss at -cpu 4.
+# The width/order matrix: the service-facing packages and the runtime,
+# solver and recovery layers under them (par, solver, recover) at
+# GOMAXPROCS 1, 2 and 4 in shuffled order, so a test that only passes
+# on a 1-CPU box or in file order fails here.
 width-smoke:
-	$(GO) test -count=1 -shuffle=on -cpu 1,2,4 ./cmd/quakesim ./cmd/quaked ./internal/serve ./internal/regress ./internal/par ./internal/solver
+	$(GO) test -count=1 -shuffle=on -cpu 1,2,4 ./cmd/quakesim ./cmd/quaked ./internal/serve ./internal/regress ./internal/par ./internal/solver ./internal/recover
 
 # One-shot figure regeneration without the benchmark harness.
 repro:

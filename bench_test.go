@@ -437,63 +437,6 @@ func BenchmarkAblationKernels(b *testing.B) {
 		}
 		b.ReportMetric(flops/(b.Elapsed().Seconds()/float64(b.N))/1e6, "MFLOPS")
 	})
-	b.Run("csr_seg", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			csr.MulVecSegmented(y, x)
-		}
-		b.ReportMetric(flops/(b.Elapsed().Seconds()/float64(b.N))/1e6, "MFLOPS")
-	})
-	// The fused kernel does strictly more work (the dot rides along), so
-	// comparing its ns/op against bcsr shows what the fusion costs — the
-	// win is the separate dot sweep it makes unnecessary.
-	b.Run("fused", func(b *testing.B) {
-		var d float64
-		for i := 0; i < b.N; i++ {
-			d = sys.K.MulVecDot(y, x)
-		}
-		_ = d
-		b.ReportMetric(flops/(b.Elapsed().Seconds()/float64(b.N))/1e6, "MFLOPS")
-	})
-}
-
-// BenchmarkKernelGuard is the regression gate behind `make bench-smoke`:
-// the unfused arm is the pre-fusion shape (SMVP sweep, then a separate
-// dot sweep over x and y), the fused arm is MulVecDot doing both in one
-// pass. `benchjson -guard` fails the build if fused comes out slower
-// than unfused beyond the slack — the fused path exists to win, and a
-// loss means someone broke it.
-func BenchmarkKernelGuard(b *testing.B) {
-	m, err := quake.SF5.Mesh()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := quake.Assemble(m, quake.SanFernando())
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, 3*m.NumNodes())
-	y := make([]float64, 3*m.NumNodes())
-	for i := range x {
-		x[i] = float64(i%9) * 0.25
-	}
-	b.Run("unfused", func(b *testing.B) {
-		var d float64
-		for i := 0; i < b.N; i++ {
-			sys.K.MulVec(y, x)
-			d = 0
-			for j := range x {
-				d += x[j] * y[j]
-			}
-		}
-		_ = d
-	})
-	b.Run("fused", func(b *testing.B) {
-		var d float64
-		for i := 0; i < b.N; i++ {
-			d = sys.K.MulVecDot(y, x)
-		}
-		_ = d
-	})
 }
 
 // BenchmarkMeasuredTfShift closes the measured-T_f feedback loop: it

@@ -3,13 +3,13 @@ package recover
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/mesh"
 	"repro/internal/solver"
 )
@@ -48,33 +48,19 @@ func (c *Checkpoint) State() *solver.State {
 	return &solver.State{Iter: int(c.Iter), X: c.X, R: c.R, P: c.PDir, Rho: c.Rho}
 }
 
-// File format (all integers little-endian):
-//
-//	offset size  field
-//	0      8     magic "QSIMCKPT"
-//	8      4     version (currently 1)
-//	12     8     payload length in bytes
-//	20     4     CRC-32C (Castagnoli) of the payload
-//	24     …     payload
-//
-// The payload is the fixed-order field list encoded by appendPayload.
-// The decoder is strict: short files, trailing bytes, version skew,
-// checksum mismatches, and internal length fields that disagree with
-// the payload size are all distinct errors — a corrupt checkpoint must
-// never be half-loaded.
+// File format: one durable frame whose payload is the fixed-order,
+// little-endian field list encoded by appendPayload. The magic names
+// the version: a version 1 file ("QSIMCKPT" and a version word) is
+// refused as bad magic, never misparsed. The decoder is strict: torn
+// frames, checksum mismatches, trailing bytes, and internal lengths
+// that disagree with the payload size are all errors — a corrupt
+// checkpoint must never be half-loaded.
 const (
-	ckptMagic   = "QSIMCKPT"
-	ckptVersion = 1
-	headerLen   = 8 + 4 + 8 + 4
-
-	// maxCkptElems / maxCkptScalars bound the decoder's allocations so a
-	// corrupted length field cannot demand petabytes.
-	maxCkptElems   = 1 << 28
-	maxCkptScalars = 1 << 28
-	maxCkptPlan    = 1 << 20
+	ckptMagic = "QCK2"
+	// maxCkptPayload bounds the frame, and through it every allocation
+	// the decoder makes; the largest scenario (sf2) encodes to ~36 MB.
+	maxCkptPayload = 1 << 30
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // MeshID fingerprints a mesh — FNV-1a over its sizes, connectivity,
 // and coordinate bits — so a checkpoint written for one mesh is
@@ -106,15 +92,11 @@ func MeshID(m *mesh.Mesh) uint64 {
 	return h
 }
 
-// Encode serializes the checkpoint.
-func (c *Checkpoint) Encode() []byte {
+// Encode serializes the checkpoint. It fails only when the payload
+// exceeds the frame bound.
+func (c *Checkpoint) Encode() ([]byte, error) {
 	payload := c.appendPayload(make([]byte, 0, 64+4*len(c.ElemPE)+8*(len(c.X)+len(c.R)+len(c.PDir))))
-	buf := make([]byte, 0, headerLen+len(payload))
-	buf = append(buf, ckptMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, ckptVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	return append(buf, payload...)
+	return durable.AppendFrame(nil, ckptMagic, payload, maxCkptPayload)
 }
 
 func (c *Checkpoint) appendPayload(b []byte) []byte {
@@ -141,62 +123,48 @@ func (c *Checkpoint) appendPayload(b []byte) []byte {
 // path returns an error; Decode never panics on hostile input
 // (FuzzDecodeCheckpoint holds it to that).
 func Decode(data []byte) (*Checkpoint, error) {
-	if len(data) < headerLen {
-		return nil, fmt.Errorf("recover: checkpoint truncated: %d bytes, header needs %d", len(data), headerLen)
+	payload, n, err := durable.NextFrame(data, ckptMagic, maxCkptPayload)
+	if err != nil {
+		return nil, fmt.Errorf("recover: checkpoint: %w", err)
 	}
-	if string(data[:8]) != ckptMagic {
-		return nil, fmt.Errorf("recover: not a checkpoint file (bad magic)")
-	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != ckptVersion {
-		return nil, fmt.Errorf("recover: checkpoint version %d, this build reads %d", v, ckptVersion)
-	}
-	plen := binary.LittleEndian.Uint64(data[12:])
-	if plen != uint64(len(data)-headerLen) {
-		return nil, fmt.Errorf("recover: payload length %d, file carries %d", plen, len(data)-headerLen)
-	}
-	payload := data[headerLen:]
-	if sum := crc32.Checksum(payload, castagnoli); sum != binary.LittleEndian.Uint32(data[20:]) {
-		return nil, fmt.Errorf("recover: checkpoint checksum mismatch")
+	if n != len(data) {
+		return nil, fmt.Errorf("recover: %d trailing bytes after checkpoint frame", len(data)-n)
 	}
 
+	// Every count is checked against the bytes left in the payload
+	// before anything is allocated, so a lying count cannot demand more
+	// memory than the (bounded) frame holds.
 	d := decoder{b: payload}
 	c := &Checkpoint{}
 	c.MeshID = d.u64()
 	c.P = int32(d.u32())
 	ne := d.u64()
-	if ne > maxCkptElems {
-		return nil, fmt.Errorf("recover: checkpoint claims %d elements", ne)
+	if ne > uint64(len(d.b))/4 {
+		return nil, fmt.Errorf("recover: checkpoint claims %d elements in %d payload bytes", ne, len(d.b))
 	}
 	if c.P <= 0 {
 		return nil, fmt.Errorf("recover: checkpoint has %d PEs", c.P)
 	}
-	c.ElemPE = make([]int32, 0, min(int(ne), 1<<16))
-	for i := uint64(0); i < ne; i++ {
-		pe := int32(d.u32())
-		if d.err == nil && (pe < 0 || pe >= c.P) {
-			return nil, fmt.Errorf("recover: element %d assigned to PE %d of %d", i, pe, c.P)
+	c.ElemPE = make([]int32, ne)
+	for i := range c.ElemPE {
+		if c.ElemPE[i] = int32(d.u32()); c.ElemPE[i] < 0 || c.ElemPE[i] >= c.P {
+			return nil, fmt.Errorf("recover: element %d assigned to PE %d of %d", i, c.ElemPE[i], c.P)
 		}
-		c.ElemPE = append(c.ElemPE, pe)
 	}
 	c.Iter = int64(d.u64())
 	c.Rho = math.Float64frombits(d.u64())
-	n := d.u64()
-	if n > maxCkptScalars {
-		return nil, fmt.Errorf("recover: checkpoint claims %d scalars per vector", n)
+	ns := d.u64()
+	if ns > uint64(len(d.b))/24 {
+		return nil, fmt.Errorf("recover: checkpoint claims %d scalars per vector in %d payload bytes", ns, len(d.b))
 	}
-	vecs := [3]*[]float64{&c.X, &c.R, &c.PDir}
-	for _, vp := range vecs {
-		*vp = make([]float64, 0, min(int(n), 1<<16))
-		for i := uint64(0); i < n; i++ {
-			*vp = append(*vp, math.Float64frombits(d.u64()))
+	for _, vp := range [3]*[]float64{&c.X, &c.R, &c.PDir} {
+		*vp = make([]float64, ns)
+		for i := range *vp {
+			(*vp)[i] = math.Float64frombits(d.u64())
 		}
 	}
 	c.FaultIter = int64(d.u64())
-	pl := d.u64()
-	if pl > maxCkptPlan {
-		return nil, fmt.Errorf("recover: checkpoint claims a %d-byte fault plan", pl)
-	}
-	c.FaultPlan = string(d.bytes(pl))
+	c.FaultPlan = string(d.bytes(d.u64()))
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -254,11 +222,9 @@ func (d *decoder) fail(want int) {
 }
 
 // Store persists checkpoints in a directory, one file per snapshot
-// named ckpt-<iteration>.qck. Writes are atomic: the encoding goes to
-// a temporary file in the same directory, is synced, and is renamed
-// into place — a crash mid-write leaves at worst a stale .tmp file the
-// strict decoder would reject anyway, never a half-written checkpoint
-// under the real name.
+// named ckpt-<iteration>.qck. Writes are atomic (durable.WriteFile): a
+// crash mid-write leaves at worst a stale .tmp file, which Prune
+// sweeps, never a half-written checkpoint under the real name.
 type Store struct {
 	dir string
 }
@@ -278,26 +244,13 @@ func (s *Store) Dir() string { return s.dir }
 // written and wall time are observed under recover.checkpoint.*.
 func (s *Store) Save(c *Checkpoint) (string, error) {
 	start := time.Now()
-	data := c.Encode()
-	final := filepath.Join(s.dir, fmt.Sprintf("ckpt-%09d.qck", c.Iter))
-	tmp, err := os.CreateTemp(s.dir, "ckpt-*.tmp")
+	data, err := c.Encode()
 	if err != nil {
+		return "", err
+	}
+	final := filepath.Join(s.dir, fmt.Sprintf("ckpt-%09d.qck", c.Iter))
+	if err := durable.WriteFile(final, data); err != nil {
 		return "", fmt.Errorf("recover: checkpoint write: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("recover: checkpoint write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("recover: checkpoint sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("recover: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return "", fmt.Errorf("recover: checkpoint rename: %w", err)
 	}
 	ckptWrites.Add(1)
 	ckptBytes.Observe(int64(len(data)))
@@ -362,8 +315,8 @@ func (s *Store) Prune(keep int) (int, error) {
 		case ".qck":
 			names = append(names, e.Name())
 		case ".tmp":
-			// A crash between CreateTemp and Rename strands the temp
-			// file; it can never be read, only accumulate.
+			// A crash inside durable.WriteFile strands its temp file;
+			// it can never be read, only accumulate.
 			if os.Remove(filepath.Join(s.dir, e.Name())) == nil {
 				removed++
 			}
@@ -402,11 +355,4 @@ func (s *Store) SizeBytes() (int64, error) {
 		}
 	}
 	return total, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

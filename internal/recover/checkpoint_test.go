@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
@@ -27,11 +28,32 @@ func sampleCheckpoint() *Checkpoint {
 	}
 }
 
+func mustEncode(t testing.TB, ck *Checkpoint) []byte {
+	t.Helper()
+	b, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// v1Checkpoint lays ck out in the retired version 1 format: magic
+// "QSIMCKPT", a version word, a 64-bit payload length, and the CRC-32C,
+// ahead of the same payload.
+func v1Checkpoint(ck *Checkpoint) []byte {
+	payload := ck.appendPayload(nil)
+	b := append([]byte(nil), "QSIMCKPT"...)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(b, payload...)
+}
+
 // TestCheckpointRoundTrip: Encode→Decode is the identity, including
 // the solver-state view.
 func TestCheckpointRoundTrip(t *testing.T) {
 	ck := sampleCheckpoint()
-	got, err := Decode(ck.Encode())
+	got, err := Decode(mustEncode(t, ck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +78,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestDecodeRejections pins the strict-decoder contract: truncation,
-// corruption, version skew, bad magic, trailing bytes, and hostile
-// internal lengths are all refused with errors.
+// corruption, version skew, bad magic, foreign frames, trailing bytes,
+// and hostile internal lengths are all refused with errors.
 func TestDecodeRejections(t *testing.T) {
-	valid := sampleCheckpoint().Encode()
+	valid := mustEncode(t, sampleCheckpoint())
 
 	t.Run("truncated", func(t *testing.T) {
-		// Prefixes cut inside the header (before headerLen) matter as
-		// much as payload truncation: Latest must treat both as
-		// undecodable and fall through to an older snapshot.
-		for _, n := range []int{0, 7, 12, headerLen - 4, headerLen - 1, headerLen, headerLen + 3, len(valid) - 1} {
+		// Prefixes cut inside the header matter as much as payload
+		// truncation: Latest must treat both as undecodable and fall
+		// through to an older snapshot.
+		for _, n := range []int{0, 3, 7, durable.HeaderLen - 1, durable.HeaderLen, durable.HeaderLen + 3, len(valid) - 1} {
 			if _, err := Decode(valid[:n]); err == nil {
 				t.Errorf("accepted a %d-byte prefix", n)
 			}
@@ -79,15 +101,30 @@ func TestDecodeRejections(t *testing.T) {
 		}
 	})
 	t.Run("version-skew", func(t *testing.T) {
+		// A version 1 file holds the very same payload; it must be
+		// refused, not misparsed.
+		if _, err := Decode(v1Checkpoint(sampleCheckpoint())); err == nil {
+			t.Error("accepted a version 1 checkpoint")
+		}
 		b := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint32(b[8:], ckptVersion+1)
+		copy(b, "QCK3")
 		if _, err := Decode(b); err == nil {
 			t.Error("accepted a future version")
 		}
 	})
+	t.Run("journal-frame", func(t *testing.T) {
+		// A well-formed job-journal frame is refused by its magic.
+		b, err := durable.AppendFrame(nil, "QJL1", []byte(`{"op":"state","id":"j-1","state":"running"}`), 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(b); err == nil {
+			t.Error("accepted a journal frame")
+		}
+	})
 	t.Run("payload-corruption", func(t *testing.T) {
 		b := append([]byte(nil), valid...)
-		b[headerLen+9] ^= 0x10
+		b[durable.HeaderLen+9] ^= 0x10
 		if _, err := Decode(b); err == nil {
 			t.Error("accepted a payload bit flip (checksum missed it)")
 		}
@@ -104,14 +141,21 @@ func TestDecodeRejections(t *testing.T) {
 		ck := sampleCheckpoint()
 		payload := ck.appendPayload(nil)
 		binary.LittleEndian.PutUint64(payload[12:], 1<<60)
-		b := make([]byte, 0, headerLen+len(payload))
-		b = append(b, ckptMagic...)
-		b = binary.LittleEndian.AppendUint32(b, ckptVersion)
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
-		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
-		b = append(b, payload...)
+		b, err := durable.AppendFrame(nil, ckptMagic, payload, maxCkptPayload)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := Decode(b); err == nil {
 			t.Error("accepted a 2^60-element claim")
+		}
+		// The scalar count is bounded the same way.
+		payload = ck.appendPayload(nil)
+		binary.LittleEndian.PutUint64(payload[20+4*len(ck.ElemPE)+16:], 1<<40)
+		if b, err = durable.AppendFrame(nil, ckptMagic, payload, maxCkptPayload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(b); err == nil {
+			t.Error("accepted a 2^40-scalar claim")
 		}
 	})
 }
@@ -161,7 +205,7 @@ func TestStoreSaveLatest(t *testing.T) {
 	// A file truncated *inside the header* (a crash mid-write on a
 	// filesystem without atomic rename, or torn storage) must degrade
 	// the same way — skipped, not fatal.
-	if err := os.WriteFile(path, data[:12], 0o644); err != nil {
+	if err := os.WriteFile(path, data[:durable.HeaderLen-4], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err = s.Latest()
@@ -170,6 +214,15 @@ func TestStoreSaveLatest(t *testing.T) {
 	}
 	if got.Iter != 10 {
 		t.Fatalf("truncated-header fallback Latest = iter %d, want 10", got.Iter)
+	}
+	// A version 1 file left by an older build is newer by name but
+	// undecodable, so it is skipped too.
+	ck.Iter = 20
+	if err := os.WriteFile(filepath.Join(s.Dir(), "ckpt-000000020.qck"), v1Checkpoint(ck), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err = s.Latest(); err != nil || got.Iter != 10 {
+		t.Fatalf("Latest past a version 1 file = %+v, %v; want iter 10", got, err)
 	}
 	// No temp litter after successful saves.
 	entries, err := os.ReadDir(s.Dir())
@@ -268,7 +321,7 @@ func TestCheckpointSolverStateRoundTrip(t *testing.T) {
 		Rho:  1.7976931348623157e308,
 	}
 	ck := &Checkpoint{P: 1, ElemPE: []int32{0}, Iter: int64(st.Iter), Rho: st.Rho, X: st.X, R: st.R, PDir: st.P}
-	got, err := Decode(ck.Encode())
+	got, err := Decode(mustEncode(t, ck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,14 +339,13 @@ func TestCheckpointSolverStateRoundTrip(t *testing.T) {
 // FuzzDecodeCheckpoint: random mutations of a valid snapshot must
 // never crash or hang the decoder — only decode cleanly or error.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	valid := sampleCheckpoint().Encode()
+	valid := mustEncode(f, sampleCheckpoint())
 	f.Add(valid)
 	f.Add([]byte(ckptMagic))
 	f.Add([]byte{})
-	// Headers cut mid-field: past the magic, and past the version but
-	// inside the length/CRC words.
-	f.Add(valid[:12])
-	f.Add(valid[:headerLen-4])
+	// A header with no payload, and the retired version 1 layout.
+	f.Add(valid[:durable.HeaderLen])
+	f.Add(v1Checkpoint(sampleCheckpoint()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := Decode(data)
 		if err == nil && ck == nil {
@@ -301,7 +353,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		if err == nil {
 			// A decoded checkpoint must re-encode decodable.
-			if _, err := Decode(ck.Encode()); err != nil {
+			if _, err := Decode(mustEncode(t, ck)); err != nil {
 				t.Fatalf("re-encode of accepted checkpoint rejected: %v", err)
 			}
 		}

@@ -166,40 +166,7 @@ func TestRebalanceReducesMeasuredLambda(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
 
-	x := make([]float64, 3*d.GlobalNodes)
-	y := make([]float64, 3*d.GlobalNodes)
-	for i := range x {
-		x[i] = float64(i%7) * 0.25
-	}
-	// Each SMVP is its own telemetry window, and a PE's load is its
-	// fastest compute phase across the windows. A phase that lost its
-	// CPU to another process only ever reads longer, so the minimum
-	// keeps the element-count skew and drops the host's scheduling
-	// noise, which a sum over the windows would carry into λ.
-	const reps = 32
-	measure := func(d *par.Dist, p int) []int64 {
-		t.Helper()
-		loads := make([]int64, p)
-		for i := 0; i < reps; i++ {
-			before := obs.Default.Snapshot()
-			if _, err := d.SMVP(y, x); err != nil {
-				t.Fatal(err)
-			}
-			w, ok := analyze.FromSnapshots(obs.Default.Snapshot(), before)
-			if !ok {
-				t.Fatal("no analysis window in telemetry delta")
-			}
-			// The accumulator registry never shrinks; trim to the live width.
-			for pe, ns := range w.ComputeNS[:p] {
-				if i == 0 || ns < loads[pe] {
-					loads[pe] = ns
-				}
-			}
-		}
-		return loads
-	}
-
-	loads := measure(d, pt.P)
+	loads := fastestLoads(t, d, pt.P)
 	imBefore := analyze.ImbalanceOf(loads)
 	if imBefore.Lambda < 1.5 {
 		t.Fatalf("skewed partition measured λ = %.3f, expected a pronounced straggler", imBefore.Lambda)
@@ -221,9 +188,42 @@ func TestRebalanceReducesMeasuredLambda(t *testing.T) {
 		t.Fatalf("rebalance changed the width: %d → %d", pt.P, reb.Partition.P)
 	}
 
-	imAfter := analyze.ImbalanceOf(measure(reb.Dist, reb.Partition.P))
+	imAfter := analyze.ImbalanceOf(fastestLoads(t, reb.Dist, reb.Partition.P))
 	if imAfter.Lambda >= imBefore.Lambda {
 		t.Fatalf("measured λ did not improve: %.3f → %.3f after %d moves", imBefore.Lambda, imAfter.Lambda, moves)
 	}
 	t.Logf("measured λ %.3f → %.3f after %d boundary-layer moves", imBefore.Lambda, imAfter.Lambda, moves)
+}
+
+// fastestLoads measures each of d's first p PEs' load as its fastest
+// compute phase over 32 SMVPs, each its own telemetry window (obs must
+// be enabled). A phase that lost its CPU to another process only ever
+// reads longer, so the minimum keeps the partition's element-count
+// skew and drops the host's scheduling noise, which a sum over the
+// windows, or a single window, would carry into λ.
+func fastestLoads(t *testing.T, d *par.Dist, p int) []int64 {
+	t.Helper()
+	x := make([]float64, 3*d.GlobalNodes)
+	y := make([]float64, 3*d.GlobalNodes)
+	for i := range x {
+		x[i] = float64(i%7) * 0.25
+	}
+	loads := make([]int64, p)
+	for i := 0; i < 32; i++ {
+		before := obs.Default.Snapshot()
+		if _, err := d.SMVP(y, x); err != nil {
+			t.Fatal(err)
+		}
+		w, ok := analyze.FromSnapshots(obs.Default.Snapshot(), before)
+		if !ok {
+			t.Fatal("no analysis window in telemetry delta")
+		}
+		// The accumulator registry never shrinks; trim to the live width.
+		for pe, ns := range w.ComputeNS[:p] {
+			if i == 0 || ns < loads[pe] {
+				loads[pe] = ns
+			}
+		}
+	}
+	return loads
 }

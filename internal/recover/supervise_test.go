@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/internal/par"
 	"repro/internal/solver"
 	"repro/internal/testutil"
@@ -178,14 +179,16 @@ func TestMultiFaultSoak(t *testing.T) {
 	certify(t, f, refD, b, x, tol)
 
 	// The rebalancer measured windows throughout; the run must end
-	// without a gross straggler. The bound is loose (the fixture kernels
-	// are microseconds, so scheduling noise is real) but far below the
-	// λ ≈ 3 a genuinely skewed partition measures.
+	// without a gross straggler. FinalLambda is a single window, which
+	// another process on the host can skew by itself, so the final
+	// partition is measured with fastestLoads. The bound is loose (the
+	// fixture kernels are microseconds) but far below the λ ≈ 3 a
+	// genuinely skewed partition measures.
 	if out.FinalLambda <= 0 {
 		t.Fatal("rebalancing was armed but no window was ever measured")
 	}
-	if out.FinalLambda >= 3 {
-		t.Fatalf("final measured λ = %.3f, soak ended badly imbalanced", out.FinalLambda)
+	if im := analyze.ImbalanceOf(fastestLoads(t, out.Dist, out.Part.P)); im.Lambda >= 3 {
+		t.Fatalf("final measured λ = %.3f, soak ended badly imbalanced", im.Lambda)
 	}
 
 	// No leaked goroutines once every Dist is closed — checked by the

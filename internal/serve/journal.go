@@ -1,35 +1,26 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // The job journal is the engine's write-ahead log: one append-only
-// file of CRC-checked records, each a jobRecord JSON document framed
-// by a fixed binary header. Appends are synced before the engine
-// acknowledges the job, so "accepted" means "survives a process
-// crash". The framing follows the QSIMCKPT discipline from
-// internal/recover/checkpoint.go — magic, explicit payload length,
-// CRC-32C, a strict bounds-checked decoder — scaled down to a record
-// stream: replay walks records until the first torn or corrupt frame,
-// truncates the tail there (a crash mid-append leaves at worst one
-// torn final record), and rebuilds the job table from what survived.
-//
-//	offset size  field
-//	0      4     magic "QJL1"
-//	4      4     payload length in bytes (little-endian)
-//	8      4     CRC-32C (Castagnoli) of the payload
-//	12     …     payload (one JSON jobRecord)
+// file of durable frames (internal/durable) under the magic "QJL1",
+// each carrying one jobRecord JSON document. Appends are synced before
+// the engine acknowledges the job, so "accepted" means "survives a
+// process crash". Replay walks frames until the first torn or corrupt
+// one, truncates the tail there (a crash mid-append leaves at worst
+// one torn final record), and rebuilds the job table from what
+// survived.
 const (
-	journalMagic     = "QJL1"
-	journalHeaderLen = 4 + 4 + 4
+	journalMagic = "QJL1"
 	// maxJournalRecord bounds one record's payload so a corrupted
 	// length field cannot demand gigabytes; a SolveRequest body is
 	// itself capped at maxRequestBytes, which this dominates.
@@ -67,44 +58,19 @@ func encodeJournalRecord(rec *jobRecord) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: encoding journal record: %w", err)
 	}
-	if len(payload) > maxJournalRecord {
-		return nil, fmt.Errorf("serve: journal record %d bytes exceeds %d", len(payload), maxJournalRecord)
-	}
-	buf := make([]byte, 0, journalHeaderLen+len(payload))
-	buf = append(buf, journalMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoliJL))
-	return append(buf, payload...), nil
+	return durable.AppendFrame(nil, journalMagic, payload, maxJournalRecord)
 }
 
-var castagnoliJL = crc32.MakeTable(crc32.Castagnoli)
-
-// errJournalTorn marks a frame that stops short of its declared
-// length: the normal artifact of a crash mid-append, distinguished
-// from outright corruption only for observability (both truncate).
-var errJournalTorn = fmt.Errorf("serve: journal record torn")
-
 // decodeJournalRecord parses one framed record from the head of data,
-// returning the record and the bytes consumed. It never panics on
-// hostile input and never reads past the declared payload
-// (FuzzDecodeJournal holds it to that).
+// returning the record and the bytes consumed. A short frame is
+// durable.ErrTorn (the normal artifact of a crash mid-append,
+// distinguished from corruption only for observability: both
+// truncate). It never panics on hostile input and never reads past the
+// declared payload (FuzzDecodeJournal holds it to that).
 func decodeJournalRecord(data []byte) (*jobRecord, int, error) {
-	if len(data) < journalHeaderLen {
-		return nil, 0, errJournalTorn
-	}
-	if string(data[:4]) != journalMagic {
-		return nil, 0, fmt.Errorf("serve: journal record has bad magic")
-	}
-	plen := binary.LittleEndian.Uint32(data[4:])
-	if plen > maxJournalRecord {
-		return nil, 0, fmt.Errorf("serve: journal record claims %d bytes", plen)
-	}
-	if uint32(len(data)-journalHeaderLen) < plen {
-		return nil, 0, errJournalTorn
-	}
-	payload := data[journalHeaderLen : journalHeaderLen+int(plen)]
-	if sum := crc32.Checksum(payload, castagnoliJL); sum != binary.LittleEndian.Uint32(data[8:]) {
-		return nil, 0, fmt.Errorf("serve: journal record checksum mismatch")
+	payload, n, err := durable.NextFrame(data, journalMagic, maxJournalRecord)
+	if err != nil {
+		return nil, 0, fmt.Errorf("serve: journal record: %w", err)
 	}
 	rec := &jobRecord{}
 	if err := json.Unmarshal(payload, rec); err != nil {
@@ -125,11 +91,11 @@ func decodeJournalRecord(data []byte) (*jobRecord, int, error) {
 	if rec.ID == "" {
 		return nil, 0, fmt.Errorf("serve: journal record without a job id")
 	}
-	return rec, journalHeaderLen + int(plen), nil
+	return rec, n, nil
 }
 
 // journal is the open WAL: appends under a mutex, fsync per record,
-// compaction by tmp+rename. A nil *journal is valid and inert (the
+// compaction by durable.WriteFile. A nil *journal is valid and inert (the
 // engine without a JournalDir), so call sites stay unconditional.
 type journal struct {
 	mu     sync.Mutex
@@ -223,9 +189,8 @@ func (j *journal) size() int64 {
 
 // compact atomically rewrites the WAL to exactly recs (the live job
 // set re-serialized), dropping every superseded state record and every
-// evicted job. The rewrite goes to a temp file, syncs, and renames
-// over the WAL, so a crash mid-compaction leaves either the old or the
-// new journal, never a mix.
+// evicted job. durable.WriteFile replaces the file whole, so a crash
+// mid-compaction leaves either the old or the new journal, never a mix.
 func (j *journal) compact(recs []*jobRecord) error {
 	if j == nil {
 		return nil
@@ -235,39 +200,18 @@ func (j *journal) compact(recs []*jobRecord) error {
 	if j.closed {
 		return fmt.Errorf("serve: journal %w", ErrClosed)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), "jobs-*.tmp")
-	if err != nil {
-		jobJournalErrors.Add(1)
-		return fmt.Errorf("serve: journal compact: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	var total int64
+	var buf []byte
 	for _, rec := range recs {
-		buf, err := encodeJournalRecord(rec)
+		b, err := encodeJournalRecord(rec)
 		if err != nil {
-			tmp.Close()
 			jobJournalErrors.Add(1)
 			return err
 		}
-		if _, err := tmp.Write(buf); err != nil {
-			tmp.Close()
-			jobJournalErrors.Add(1)
-			return fmt.Errorf("serve: journal compact: %w", err)
-		}
-		total += int64(len(buf))
+		buf = append(buf, b...)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+	if err := durable.WriteFile(j.path, buf); err != nil {
 		jobJournalErrors.Add(1)
-		return fmt.Errorf("serve: journal compact sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		jobJournalErrors.Add(1)
-		return fmt.Errorf("serve: journal compact close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		jobJournalErrors.Add(1)
-		return fmt.Errorf("serve: journal compact rename: %w", err)
+		return fmt.Errorf("serve: journal compact: %w", err)
 	}
 	j.f.Close()
 	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -277,7 +221,7 @@ func (j *journal) compact(recs []*jobRecord) error {
 		return fmt.Errorf("serve: reopening compacted journal: %w", err)
 	}
 	j.f = f
-	j.bytes = total
+	j.bytes = int64(len(buf))
 	jobJournalCompactions.Add(1)
 	jobJournalBytes.Set(float64(j.bytes))
 	return nil
@@ -294,6 +238,8 @@ func (j *journal) close() {
 		return
 	}
 	j.closed = true
-	j.f.Sync()
-	j.f.Close()
+	syncErr := j.f.Sync()
+	if closeErr := j.f.Close(); syncErr != nil || closeErr != nil {
+		jobJournalErrors.Add(1)
+	}
 }

@@ -1,14 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
+	rec "repro/internal/recover"
 )
 
 func journalPath(dir string) string { return filepath.Join(dir, "jobs.wal") }
@@ -158,7 +162,7 @@ func TestJournalCorruptRecordStopsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[offsets[1]+journalHeaderLen] ^= 0xff
+	raw[offsets[1]+durable.HeaderLen] ^= 0xff
 	if err := os.WriteFile(journalPath(dir), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -252,16 +256,68 @@ func TestDecodeJournalRecordRejects(t *testing.T) {
 	for _, tc := range cases {
 		if _, _, err := decodeJournalRecord(tc.data); err == nil {
 			t.Errorf("%s: decoded without error", tc.name)
-		} else if errors.Is(err, errJournalTorn) {
+		} else if errors.Is(err, durable.ErrTorn) {
 			t.Errorf("%s: misclassified as torn", tc.name)
 		}
 	}
 	// Short data is torn, not corrupt.
 	whole := enc(sampleRecords()[0])
-	for _, n := range []int{0, 3, journalHeaderLen - 1, journalHeaderLen, len(whole) - 1} {
-		if _, _, err := decodeJournalRecord(whole[:n]); !errors.Is(err, errJournalTorn) {
-			t.Errorf("prefix of %d bytes: err = %v, want errJournalTorn", n, err)
+	for _, n := range []int{0, 3, durable.HeaderLen - 1, durable.HeaderLen, len(whole) - 1} {
+		if _, _, err := decodeJournalRecord(whole[:n]); !errors.Is(err, durable.ErrTorn) {
+			t.Errorf("prefix of %d bytes: err = %v, want durable.ErrTorn", n, err)
 		}
+	}
+}
+
+// journalFixture is sampleRecords()[0] as a QJL1 frame, written by the
+// journal codec before it moved onto internal/durable. Journals already
+// on disk must keep replaying, so these bytes are the format.
+const journalFixture = "514a4c31" + "88000000" + "1b988e9e" +
+	"7b226f70223a22616363657074222c226964223a226a2d31222c2274696d65223a22" +
+	"323032332d31312d31345432323a31333a32305a222c226964656d223a226b31222c" +
+	"22726571223a7b227363656e6172696f223a2274696e79222c22706573223a322c22" +
+	"746f6c223a31652d392c226964656d706f74656e63795f6b6579223a226b31227d7d"
+
+// TestJournalFormatFixture: the pinned frame replays to the record it
+// was made from, and that record encodes back to the same bytes.
+func TestJournalFormatFixture(t *testing.T) {
+	raw, err := hex.DecodeString(journalFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(journalPath(dir), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, got, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.close()
+	if len(got) != 1 || j.size() != int64(len(raw)) {
+		t.Fatalf("replayed %d records, journal %d bytes; want 1 record, %d bytes", len(got), j.size(), len(raw))
+	}
+	want := sampleRecords()[0]
+	r := got[0]
+	if r.Op != want.Op || r.ID != want.ID || !r.Time.Equal(want.Time) || r.Idem != want.Idem ||
+		r.Req == nil || *r.Req != *want.Req {
+		t.Fatalf("fixture replayed as %+v (req %+v)", r, r.Req)
+	}
+	if b, err := encodeJournalRecord(want); err != nil || !bytes.Equal(b, raw) {
+		t.Fatalf("record encodes to %x (err %v), fixture is %x", b, err, raw)
+	}
+}
+
+// TestJournalRefusesCheckpointFrame: a checkpoint file fed to the
+// journal decoder is corruption (bad magic), not a torn record.
+func TestJournalRefusesCheckpointFrame(t *testing.T) {
+	ck := &rec.Checkpoint{P: 1, ElemPE: []int32{0}, X: []float64{1}, R: []float64{2}, PDir: []float64{3}}
+	b, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := decodeJournalRecord(b); err == nil || errors.Is(err, durable.ErrTorn) {
+		t.Fatalf("checkpoint frame: err = %v, want a corruption error", err)
 	}
 }
 
@@ -290,7 +346,7 @@ func FuzzDecodeJournal(f *testing.F) {
 		if rec == nil {
 			t.Fatal("nil record without error")
 		}
-		if n < journalHeaderLen || n > len(data) {
+		if n < durable.HeaderLen || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		// A decoded record must survive re-encoding.
